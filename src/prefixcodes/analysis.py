@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .core import (
@@ -68,8 +67,8 @@ def is_complete(tree: CodeTree) -> bool:
 def is_monotone(source: Source, tree: CodeTree) -> bool:
     """True iff no node out-weighs any node on a strictly higher row."""
     rows = tree.rows()
-    row_min = [min(tree.node(i).prob for i in row) for row in rows]
-    row_max = [max(tree.node(i).prob for i in row) for row in rows]
+    row_min = [min(tree.node(i).weight for i in row) for row in rows]
+    row_max = [max(tree.node(i).weight for i in row) for row in rows]
     running_min = row_min[0]
     for depth in range(1, len(rows)):
         if row_max[depth] > running_min:
@@ -104,8 +103,7 @@ def strong_monotonicity_check(source: Source, code: PrefixCode
     lengths = [len(code.word(s)) for s in symbols]
     weight_bits = max(lengths)
     kraft_w = [1 << (weight_bits - l) for l in lengths]
-    prob_den = lcm(*(source.prob(s).denominator for s in symbols))
-    prob_w = [int(source.prob(s) * prob_den) for s in symbols]
+    prob_w = source.weights  # probabilities as integers over source.den
 
     size = 1 << n
     ksum = [0] * size

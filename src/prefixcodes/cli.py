@@ -2,8 +2,10 @@
 
 Subcommands: huffman, check, swaps, sync, verify.  Exit codes: 0 on a
 success / affirmative answer, 1 on a negative finding, 2 on input
-errors, 3 when a resource guard (cap, alphabet size) trips.  Rationals
-are always printed exactly, never as decimals.
+errors, 3 when a resource guard (cap, alphabet size) trips, 4 on an
+internal error (a failed cross-check or any unexpected exception), so
+that a crash never reads as a negative finding.  Rationals are always
+printed exactly, never as decimals.
 
 File formats:
   source file: one `symbol value` per line, value a fraction `p/q` or a
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import List, Optional
 
@@ -34,6 +37,7 @@ from .errors import (
     AlphabetTooLarge,
     CapExceeded,
     CodeError,
+    ConsistencyError,
     ParseError,
     SubsetCapExceeded,
     Truncated,
@@ -60,6 +64,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def parse_source_text(text: str) -> Source:
@@ -380,9 +385,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             Truncated) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_GUARD
+    except ConsistencyError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except CodeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

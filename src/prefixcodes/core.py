@@ -1,18 +1,25 @@
 """Sources, code trees, prefix codes, and exact-rational helpers.
 
-All probabilities and expected lengths are `fractions.Fraction` values;
-nothing in this package ever rounds.  A code tree is stored both as a
-nested "shape" (leaf = symbol string, internal node = pair of child
-shapes, a missing child = None) and as a flat node arena with ids
-assigned in breadth-first order, so that (row, index-in-row) addressing
-is stable across rebuilds of the same tree.
+Nothing in this package ever rounds.  A `Source` scales its rational
+probabilities once, to integer weights over one common denominator
+`Source.den`; everything below it (tree nodes, Huffman merges, swap and
+sibling checks, subset scans, the brute-force oracle) adds and compares
+those integers, and `fractions.Fraction` values appear only where a
+probability or expected length is handed back to the caller.
+
+A code tree is given as a nested "shape" (leaf = symbol string,
+internal node = pair of child shapes, a missing child = None) and is
+stored as a flat node arena with ids assigned in breadth-first order,
+so that (row, index-in-row) addressing is stable across rebuilds of the
+same tree.  No function here recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     AlphabetMismatch,
@@ -55,6 +62,11 @@ class Source:
         self.entries: Tuple[Tuple[str, Fraction], ...] = tuple(pairs)
         self.symbols: Tuple[str, ...] = tuple(s for s, _ in pairs)
         self._prob = dict(pairs)
+        # prob(s) == Fraction(weight_of[s], den) for every symbol s
+        self.den: int = lcm(*(p.denominator for _, p in pairs))
+        self.weights: Tuple[int, ...] = tuple(
+            p.numerator * (self.den // p.denominator) for _, p in pairs)
+        self.weight_of: Dict[str, int] = dict(zip(self.symbols, self.weights))
         self._index = {s: i for i, s in enumerate(self.symbols)}
 
     @classmethod
@@ -143,18 +155,28 @@ class PrefixCode:
 
 
 class Node:
-    """One arena slot of a CodeTree; ids are breadth-first positions."""
+    """One arena slot of a CodeTree; ids are breadth-first positions.
 
-    __slots__ = ("id", "parent", "left", "right", "depth", "prob", "symbol")
+    `weight` is the node's probability as an integer over the source's
+    `den`; `prob` gives it back as a Fraction.
+    """
 
-    def __init__(self, id, parent, left, right, depth, prob, symbol):
+    __slots__ = ("id", "parent", "left", "right", "depth", "weight", "symbol",
+                 "den")
+
+    def __init__(self, id, parent, depth, weight, symbol, den):
         self.id = id
         self.parent = parent
-        self.left = left
-        self.right = right
+        self.left = None
+        self.right = None
         self.depth = depth
-        self.prob = prob
+        self.weight = weight
         self.symbol = symbol
+        self.den = den
+
+    @property
+    def prob(self) -> Fraction:
+        return Fraction(self.weight, self.den)
 
     @property
     def is_leaf(self) -> bool:
@@ -163,26 +185,20 @@ class Node:
 
 def shape_label(shape: Shape) -> str:
     """Nested-pair rendering; identical trees <=> identical labels."""
-    if isinstance(shape, str):
-        return shape
-    left, right = shape
-    ls = "_" if left is None else shape_label(left)
-    rs = "_" if right is None else shape_label(right)
-    return "(%s,%s)" % (ls, rs)
-
-
-def shape_leaves(shape: Shape):
-    """Leaf symbols of a shape in left-to-right order."""
-    if isinstance(shape, str):
-        yield shape
-        return
-    for child in shape:
-        if child is not None:
-            yield from shape_leaves(child)
+    parts = []
+    stack = [shape]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            parts.append("(")
+            stack.extend((")", item[1], ",", item[0]))
+        else:  # a symbol, or one of the literal "," and ")" pushed above
+            parts.append("_" if item is None else item)
+    return "".join(parts)
 
 
 class CodeTree:
-    """A rooted binary code tree over a source, with cached probabilities.
+    """A rooted binary code tree over a source, with integer node weights.
 
     Node ids are assigned in breadth-first, left-to-right order, so id 0
     is always the root and `rows()[r]` lists row r left to right.
@@ -192,68 +208,49 @@ class CodeTree:
                  "_leaf_id")
 
     def __init__(self, source: Source, shape: Shape):
-        leaves = list(shape_leaves(shape))
-        if len(set(leaves)) != len(leaves):
-            raise InvalidTree("duplicate leaf symbols")
-        if set(leaves) != set(source.symbols):
-            raise InvalidTree("tree leaves do not match the source alphabet")
         if isinstance(shape, str):
             raise InvalidTree("the root of a code tree cannot be a leaf")
+        weight_of, den = source.weight_of, source.den
+        nodes = []
+        leaf_id = {}
+        queue = deque([(shape, None, 0)])  # (shape, parent id, depth)
+        while queue:
+            shp, parent, depth = queue.popleft()
+            nid = len(nodes)
+            if isinstance(shp, str):
+                if shp in leaf_id:
+                    raise InvalidTree("duplicate leaf symbols")
+                if shp not in weight_of:
+                    raise InvalidTree(
+                        "tree leaves do not match the source alphabet")
+                leaf_id[shp] = nid
+                nodes.append(Node(nid, parent, depth, weight_of[shp], shp,
+                                  den))
+                continue
+            left, right = shp
+            if left is None and right is None:
+                raise InvalidTree("internal node with no children")
+            node = Node(nid, parent, depth, 0, None, den)
+            # the queue holds ids nid+1 .. nid+len(queue) already
+            if left is not None:
+                node.left = nid + 1 + len(queue)
+                queue.append((left, nid, depth + 1))
+            if right is not None:
+                node.right = nid + 1 + len(queue)
+                queue.append((right, nid, depth + 1))
+            nodes.append(node)
+        if len(leaf_id) != len(weight_of):
+            raise InvalidTree("tree leaves do not match the source alphabet")
+        for node in reversed(nodes):  # children have larger ids than parents
+            if node.parent is not None:
+                nodes[node.parent].weight += node.weight
         self.source = source
         self.shape = shape
-        nodes = []
-        queue = deque([(shape, None)])
-        while queue:
-            shp, parent = queue.popleft()
-            nid = len(nodes)
-            depth = 0 if parent is None else nodes[parent].depth + 1
-            if isinstance(shp, str):
-                node = Node(nid, parent, None, None, depth,
-                            source.prob(shp), shp)
-            else:
-                node = Node(nid, parent, None, None, depth, None, None)
-                left, right = shp
-                if left is None and right is None:
-                    raise InvalidTree("internal node with no children")
-                if left is not None:
-                    queue.append((left, nid))
-                if right is not None:
-                    queue.append((right, nid))
-            nodes.append(node)
-        # second pass: wire child pointers from shapes, breadth-first again
         self.nodes: Tuple[Node, ...] = tuple(nodes)
-        self._wire_children(shape)
-        # probabilities bottom-up (children have larger ids than parents)
-        for node in reversed(self.nodes):
-            if node.symbol is None:
-                prob = Fraction(0)
-                if node.left is not None:
-                    prob += self.nodes[node.left].prob
-                if node.right is not None:
-                    prob += self.nodes[node.right].prob
-                node.prob = prob
         self.root = 0
         self._label = None
         self._rows = None
-        self._leaf_id = {n.symbol: n.id for n in self.nodes if n.symbol}
-
-    def _wire_children(self, shape: Shape) -> None:
-        queue = deque([(shape, 0)])
-        next_id = 1
-        while queue:
-            shp, nid = queue.popleft()
-            if isinstance(shp, str):
-                continue
-            left, right = shp
-            node = self.nodes[nid]
-            if left is not None:
-                node.left = next_id
-                queue.append((left, next_id))
-                next_id += 1
-            if right is not None:
-                node.right = next_id
-                queue.append((right, next_id))
-                next_id += 1
+        self._leaf_id = leaf_id
 
     @property
     def label(self) -> str:
@@ -312,8 +309,8 @@ class CodeTree:
         return shp
 
     def expected_length(self) -> Fraction:
-        return sum((n.prob * n.depth for n in self.nodes if n.is_leaf),
-                   Fraction(0))
+        return Fraction(sum(n.weight * n.depth for n in self.nodes
+                            if n.symbol is not None), self.source.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CodeTree) and self.source == other.source
@@ -344,16 +341,15 @@ def tree_from_code(source: Source, code) -> CodeTree:
         cur = trie
         for bit in word:
             cur = cur.setdefault(bit, {})
-        cur["sym"] = sym
-
-    def build(node: dict) -> Shape:
-        if "sym" in node:
-            return node["sym"]
-        left = build(node["0"]) if "0" in node else None
-        right = build(node["1"]) if "1" in node else None
-        return (left, right)
-
-    return CodeTree(source, build(trie))
+        cur["shape"] = sym
+    nodes = [trie]
+    for node in nodes:  # breadth-first: the list grows while it is read
+        nodes.extend(node[bit] for bit in "01" if bit in node)
+    for node in reversed(nodes):  # children before their parents
+        if "shape" not in node:
+            node["shape"] = tuple(node[bit]["shape"] if bit in node else None
+                                  for bit in "01")
+    return CodeTree(source, trie["shape"])
 
 
 def code_from_tree(tree: CodeTree) -> PrefixCode:
@@ -379,8 +375,8 @@ def expected_length(source: Source, code: PrefixCode) -> Fraction:
     """Exact average codeword length of `code` under `source`."""
     if set(code.words) != set(source.symbols):
         raise AlphabetMismatch("code does not cover the source alphabet")
-    return sum((source.prob(s) * len(w) for s, w in code.words.items()),
-               Fraction(0))
+    return Fraction(sum(source.weight_of[s] * len(w)
+                        for s, w in code.words.items()), source.den)
 
 
 def code_from_lengths(source: Source, lengths: Mapping[str, int]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .core import CodeTree, Shape, Source, code_from_tree, shape_label
@@ -78,32 +77,31 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     probability multiset and (b) both left/right child orders.  Results
     are returned sorted by canonical label.
     """
-    start = tuple(sorted(
-        ((sym, prob, sym) for sym, prob in source.entries),
-        key=lambda t: t[0]))
+    start = tuple(sorted(zip(source.symbols, source.weights, source.symbols),
+                         key=lambda t: t[0]))
     memo: Dict[Tuple[str, ...], FrozenSet[Shape]] = {}
 
     def rec(state) -> FrozenSet[Shape]:
-        # state: tuple of (label, prob, shape), sorted by label
+        # state: tuple of (label, weight, shape), sorted by label
         if len(state) == 1:
             return frozenset({state[0][2]})
         key = tuple(lbl for lbl, _, _ in state)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        probs = sorted(p for _, p, _ in state)
-        smallest_two = (probs[0], probs[1])
+        weights = sorted(w for _, w, _ in state)
+        smallest_two = (weights[0], weights[1])
         out = set()
         for i in range(len(state)):
             for j in range(i + 1, len(state)):
-                pi, pj = state[i][1], state[j][1]
-                if (min(pi, pj), max(pi, pj)) != smallest_two:
+                wi, wj = state[i][1], state[j][1]
+                if (min(wi, wj), max(wi, wj)) != smallest_two:
                     continue
                 rest = state[:i] + state[i + 1:j] + state[j + 1:]
                 for left, right in ((state[i], state[j]),
                                     (state[j], state[i])):
                     shape = (left[2], right[2])
-                    merged = (shape_label(shape), pi + pj, shape)
+                    merged = (shape_label(shape), wi + wj, shape)
                     nxt = tuple(sorted(rest + (merged,), key=lambda t: t[0]))
                     out.update(rec(nxt))
         result = frozenset(out)
@@ -124,7 +122,7 @@ def _sibling_pairs(tree: CodeTree):
     for nid in tree.internal_ids:
         node = tree.node(nid)
         left, right = tree.node(node.left), tree.node(node.right)
-        if left.prob >= right.prob:
+        if left.weight >= right.weight:
             pairs.append((left, right))
         else:
             pairs.append((right, left))
@@ -143,9 +141,9 @@ def sibling_property(source: Source, tree: CodeTree
     if not tree.is_complete:
         raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
-    pairs.sort(key=lambda hl: (hl[0].prob, hl[1].prob), reverse=True)
+    pairs.sort(key=lambda hl: (hl[0].weight, hl[1].weight), reverse=True)
     for (_, lo), (hi, _) in zip(pairs, pairs[1:]):
-        if lo.prob < hi.prob:
+        if lo.weight < hi.weight:
             return None
     order = []
     for hi, lo in pairs:
@@ -164,9 +162,9 @@ def sibling_property_exhaustive(source: Source, tree: CodeTree
         if not remaining:
             return acc
         for k, (hi, lo) in enumerate(remaining):
-            if prev_lo is not None and hi.prob > prev_lo:
+            if prev_lo is not None and hi.weight > prev_lo:
                 continue
-            found = search(remaining[:k] + remaining[k + 1:], lo.prob,
+            found = search(remaining[:k] + remaining[k + 1:], lo.weight,
                            acc + [hi.id, lo.id])
             if found is not None:
                 return found
@@ -184,16 +182,6 @@ def is_huffman(source: Source, tree: CodeTree) -> bool:
         return False
 
 
-def _shape_prob(source: Source, shape: Shape) -> Fraction:
-    if isinstance(shape, str):
-        return source.prob(shape)
-    total = Fraction(0)
-    for child in shape:
-        if child is not None:
-            total += _shape_prob(source, child)
-    return total
-
-
 def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
     """Row-permute an optimal tree into a length-equivalent Huffman tree.
 
@@ -208,18 +196,17 @@ def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
         raise NotComplete("huffmanize requires a complete tree")
     if not is_optimal(source, code_from_tree(tree)):
         raise NotOptimal("huffmanize requires an optimal code")
-    rows = tree.rows()
-    below = [tree.shape_at(nid) for nid in rows[-1]]
-    below.sort(key=lambda s: _shape_prob(source, s), reverse=True)
-    for depth in range(len(rows) - 2, -1, -1):
-        feed = iter(below)
+    below = []
+    for row in reversed(tree.rows()):
+        feed = iter(below)  # (weight, shape) of the row below, reordered
         current = []
-        for nid in rows[depth]:
+        for nid in row:
             node = tree.node(nid)
             if node.is_leaf:
-                current.append(node.symbol)
+                current.append((node.weight, node.symbol))
             else:
-                current.append((next(feed), next(feed)))
-        current.sort(key=lambda s: _shape_prob(source, s), reverse=True)
+                (w_left, left), (w_right, right) = next(feed), next(feed)
+                current.append((w_left + w_right, (left, right)))
+        current.sort(key=lambda ws: ws[0], reverse=True)
         below = current
-    return CodeTree(source, below[0])
+    return CodeTree(source, below[0][1])

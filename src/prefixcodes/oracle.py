@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -103,15 +103,10 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
                            count=factorial(n) * catalan(n - 1))
 
 
-def _int_weights(source: Source) -> Tuple[List[int], int]:
-    den = lcm(*(p.denominator for _, p in source.entries))
-    return [int(p * den) for _, p in source.entries], den
-
-
 def min_expected_length(source: Source) -> Fraction:
     """Exact minimum expected length over all complete trees."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
-    weights, den = _int_weights(source)
+    weights = source.weights
     best: Optional[int] = None
     for template in _shape_templates(len(source)):
         depths = _leaf_depths(template)
@@ -119,13 +114,13 @@ def min_expected_length(source: Source) -> Fraction:
             total = sum(weights[s] * d for s, d in zip(perm, depths))
             if best is None or total < best:
                 best = total
-    return Fraction(best, den)
+    return Fraction(best, source.den)
 
 
 def optimal_set(source: Source) -> Set[str]:
     """Canonical labels of every minimum-expected-length complete tree."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
-    weights, _ = _int_weights(source)
+    weights = source.weights
     symbols = source.symbols
     best: Optional[int] = None
     labels: Set[str] = set()
@@ -254,8 +249,7 @@ def verify_theorems(source: Source) -> VerificationReport:
     # All Huffman trees form one {same-parent, same-probability} class.
     closure_hp = swap_closure(
         source, huffman_trees[0],
-        {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY},
-        record_edges=False)
+        {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "huffman-swap-equivalence",
         not closure_hp.truncated and set(closure_hp.members) == huffman_labels,
@@ -265,8 +259,7 @@ def verify_theorems(source: Source) -> VerificationReport:
     # All optimal trees form one {same-row, same-probability} class.
     closure_rp = swap_closure(
         source, huffman_trees[0],
-        {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY},
-        record_edges=False)
+        {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "optimal-swap-equivalence",
         not closure_rp.truncated and set(closure_rp.members) == opt_labels,
@@ -290,8 +283,7 @@ def verify_theorems(source: Source) -> VerificationReport:
             rep = trees_by_label.get(members[0])
             if rep is None:
                 rep = _tree_for_label(source, members[0])
-            closure_row = swap_closure(source, rep, {SwapKind.SAME_ROW},
-                                       record_edges=False)
+            closure_row = swap_closure(source, rep, {SwapKind.SAME_ROW})
             if set(closure_row.members) != set(members):
                 corollary_ok = False
                 detail = ("same-row closure of %s != its length class"

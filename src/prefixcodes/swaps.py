@@ -39,7 +39,6 @@ class SwapMove:
 @dataclass(frozen=True)
 class ClosureResult:
     members: Tuple[str, ...]           # canonical labels, sorted
-    edges: Tuple[Tuple[str, str, str], ...]  # (from-label, move text, to-label)
     truncated: bool
 
 
@@ -73,7 +72,7 @@ def _check_kind(tree: CodeTree, move: SwapMove) -> None:
             raise KindViolation("nodes %d and %d are on different rows"
                                 % (move.u, move.v))
     else:
-        if a.prob != b.prob:
+        if a.weight != b.weight:
             raise KindViolation("nodes %d and %d differ in probability"
                                 % (move.u, move.v))
 
@@ -118,7 +117,7 @@ def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
                     continue
                 if kind is SwapKind.SAME_ROW and a.depth != b.depth:
                     continue
-                if kind is SwapKind.SAME_PROBABILITY and a.prob != b.prob:
+                if kind is SwapKind.SAME_PROBABILITY and a.weight != b.weight:
                     continue
                 moves.append(SwapMove(u, v, kind))
     return moves
@@ -156,13 +155,11 @@ def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
 
 
 def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
-                 cap: int = DEFAULT_CLOSURE_CAP,
-                 record_edges: bool = True) -> ClosureResult:
+                 cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """Breadth-first closure of a tree under the requested swap kinds."""
     start = tree.label
     trees: Dict[str, CodeTree] = {start: tree}
     members = {start}
-    edges: List[Tuple[str, str, str]] = []
     queue = deque([start])
     truncated = False
     while queue:
@@ -170,9 +167,6 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
         current = trees.pop(label)
         for move in available_swaps(current, kinds):
             neighbor = node_swap(current, move)
-            if record_edges:
-                edges.append((label, move_to_text(current, move),
-                              neighbor.label))
             if neighbor.label not in members:
                 if len(members) >= cap:
                     truncated = True
@@ -180,7 +174,7 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
                 members.add(neighbor.label)
                 trees[neighbor.label] = neighbor
                 queue.append(neighbor.label)
-    return ClosureResult(tuple(sorted(members)), tuple(edges), truncated)
+    return ClosureResult(tuple(sorted(members)), truncated)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,

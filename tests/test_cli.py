@@ -3,7 +3,8 @@ import json
 import pytest
 
 from prefixcodes.cli import main, parse_source_text
-from prefixcodes.errors import ParseError
+from prefixcodes.errors import (AlphabetTooLarge, ConsistencyError,
+                               NotComplete, ParseError)
 from conftest import FIXTURES
 
 
@@ -182,3 +183,46 @@ class TestVerifyCommand:
 
     def test_needs_input(self, capsys):
         assert main(["verify"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code, message", [
+        (ConsistencyError("characterizations disagree"), 4,
+         "internal error: characterizations disagree"),
+        (RuntimeError("boom"), 4, "internal error: RuntimeError: boom"),
+        (NotComplete("no sibling"), 2, "error: no sibling"),
+        (AlphabetTooLarge("too many"), 3, "error: too many"),
+    ], ids=["consistency", "unexpected", "input", "guard"])
+    def test_classify_failure(self, monkeypatch, capsys, error, code,
+                              message):
+        def fail(source, code):
+            raise error
+
+        monkeypatch.setattr("prefixcodes.cli.classify", fail)
+        assert main(["check", fx("ex3.src"), fx("ex3_h.code")]) == code
+        assert message in capsys.readouterr().err
+
+
+class TestDeepTrees:
+    N = 1100
+
+    def test_sync_on_caterpillar_hits_guard(self, tmp_path, capsys):
+        src = tmp_path / "s.src"
+        src.write_text("".join("s%d 1\n" % i for i in range(self.N)))
+        code = tmp_path / "c.code"
+        words = ["1" * i + "0" for i in range(self.N - 1)]
+        words.append("1" * (self.N - 1))
+        code.write_text("".join("s%d %s\n" % (i, w)
+                                for i, w in enumerate(words)))
+        assert main(["sync", str(src), str(code)]) == 3
+        assert "internal nodes" in capsys.readouterr().err
+
+    def test_huffman_json_on_dyadic_weights(self, tmp_path, capsys):
+        weights = [1] + [1 << k for k in range(self.N - 1)]
+        src = tmp_path / "s.src"
+        src.write_text("".join("s%d %d\n" % (i, w)
+                               for i, w in enumerate(weights)))
+        assert main(["huffman", str(src), "--json"]) == 0
+        lengths = json.loads(capsys.readouterr().out)["lengths"]
+        assert lengths["s0"] == lengths["s1"] == self.N - 1
+        assert max(lengths.values()) == self.N - 1

@@ -72,6 +72,9 @@ def test_tree_code_round_trip(tree):
     again = tree_from_code(tree.source, code)
     assert again.label == tree.label
     assert code_from_tree(again) == code
+    for node in tree.nodes:
+        assert node.prob == Fraction(node.weight, tree.source.den)
+    assert tree.expected_length() == expected_length(tree.source, code)
 
 
 @given(trees())
