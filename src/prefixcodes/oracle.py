@@ -202,12 +202,13 @@ def verify_theorems(source: Source) -> VerificationReport:
     monotone_bad: List[str] = []
     sibling_labels: Set[str] = set()
     classes: Dict[Tuple[int, ...], List[str]] = {}
-    trees_by_label: Dict[str, CodeTree] = {}
+    reps: Dict[Tuple[int, ...], CodeTree] = {}  # first tree of each class
 
     for tree in enumerate_complete_trees(source).members:
         label = tree.label
+        key = _lengths_key(tree)
         optimal = tree.expected_length() == min_len
-        length_equiv = _lengths_key(tree) in huffman_length_keys
+        length_equiv = key in huffman_length_keys
         if not (optimal == strongly_monotone(tree) == length_equiv
                 == (label in opt_labels)):
             equivalence_bad.append(label)
@@ -221,9 +222,8 @@ def verify_theorems(source: Source) -> VerificationReport:
             kraft_bad.append(label)
         if label in huffman_labels and not is_monotone(source, tree):
             monotone_bad.append(label)
-        classes.setdefault(_lengths_key(tree), []).append(label)
-        if label in opt_labels and label not in trees_by_label:
-            trees_by_label[label] = tree
+        classes.setdefault(key, []).append(label)
+        reps.setdefault(key, tree)
 
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",
@@ -280,10 +280,8 @@ def verify_theorems(source: Source) -> VerificationReport:
     if len(source) <= 5:
         row_class_checked = True
         for key, members in classes.items():
-            rep = trees_by_label.get(members[0])
-            if rep is None:
-                rep = _tree_for_label(source, members[0])
-            closure_row = swap_closure(source, rep, {SwapKind.SAME_ROW})
+            closure_row = swap_closure(source, reps[key],
+                                       {SwapKind.SAME_ROW})
             if set(closure_row.members) != set(members):
                 corollary_ok = False
                 detail = ("same-row closure of %s != its length class"

@@ -1,9 +1,13 @@
-"""Node swaps on code trees and breadth-first swap-closure search.
+"""Node swaps on code trees and one breadth-first swap search.
 
 A swap exchanges the subtrees rooted at two nodes, neither an ancestor
-of the other.  Closure states are identified by canonical label, and
-certificate moves are serialized as (row, index-in-row) pairs, which are
-stable because node ids are assigned breadth-first.
+of the other.  `available_swaps` lists each such pair once, tagged with
+the first of parent, row, prob that applies.  `swap_closure` and
+`swap_equivalent` share one breadth-first search over canonical labels:
+a neighbour is recorded only while fewer than `cap` labels are (the
+target of an equivalence search always is), and a search that skips a
+neighbour for the cap is truncated.  Certificate moves are serialized as
+(row, index-in-row) pairs, stable because node ids are breadth-first.
 """
 
 from __future__ import annotations
@@ -25,15 +29,16 @@ class SwapKind(enum.Enum):
     SAME_PROBABILITY = "prob"
 
 
-ALL_KINDS = frozenset(SwapKind)
-
-
 @dataclass(frozen=True)
 class SwapMove:
     """Exchange subtrees at node ids u and v; u < v by convention."""
     u: int
     v: int
     kind: SwapKind
+
+
+# label -> (predecessor label, move from it); the start maps to (None, None)
+_Parents = Dict[str, Tuple[Optional[str], Optional[SwapMove]]]
 
 
 @dataclass(frozen=True)
@@ -44,21 +49,22 @@ class ClosureResult:
 
 def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
     """True iff u is a (strict or equal) ancestor of v."""
-    node = tree.node(v)
-    while node is not None:
-        if node.id == u:
+    while v is not None:
+        if v == u:
             return True
-        node = tree.node(node.parent) if node.parent is not None else None
+        v = tree.nodes[v].parent
     return False
 
 
 def _replace(shape: Shape, path: str, replacement: Shape) -> Shape:
-    if not path:
-        return replacement
-    left, right = shape
-    if path[0] == "0":
-        return (_replace(left, path[1:], replacement), right)
-    return (left, _replace(right, path[1:], replacement))
+    ancestors = []
+    for bit in path:
+        ancestors.append(shape)
+        shape = shape[0] if bit == "0" else shape[1]
+    for bit, (left, right) in zip(reversed(path), reversed(ancestors)):
+        replacement = ((replacement, right) if bit == "0"
+                       else (left, replacement))
+    return replacement
 
 
 def _check_kind(tree: CodeTree, move: SwapMove) -> None:
@@ -94,32 +100,31 @@ def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
 
 
 def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
-    """All admissible moves of the requested kinds, in (u, v, kind) order."""
+    """All admissible moves of the requested kinds, in (u, v) order.
+
+    Each node pair appears once, tagged with the first of parent, row,
+    prob that applies.
+    """
+    parent_ok = SwapKind.SAME_PARENT in kinds
+    row_ok = SwapKind.SAME_ROW in kinds
+    prob_ok = SwapKind.SAME_PROBABILITY in kinds
     moves = []
     nodes = tree.nodes
-    kind_order = (SwapKind.SAME_PARENT, SwapKind.SAME_ROW,
-                  SwapKind.SAME_PROBABILITY)
     for u in range(1, len(nodes)):
         a = nodes[u]
         for v in range(u + 1, len(nodes)):
             b = nodes[v]
-            if a.depth == b.depth:
-                related = False
+            if parent_ok and a.parent == b.parent:
+                kind = SwapKind.SAME_PARENT
+            elif row_ok and a.depth == b.depth:
+                kind = SwapKind.SAME_ROW
+            # ids are breadth-first, so only u can be an ancestor of v
+            elif prob_ok and a.weight == b.weight and (
+                    a.depth == b.depth or not _is_ancestor(tree, u, v)):
+                kind = SwapKind.SAME_PROBABILITY
             else:
-                related = (_is_ancestor(tree, u, v)
-                           or _is_ancestor(tree, v, u))
-            if related:
                 continue
-            for kind in kind_order:
-                if kind not in kinds:
-                    continue
-                if kind is SwapKind.SAME_PARENT and a.parent != b.parent:
-                    continue
-                if kind is SwapKind.SAME_ROW and a.depth != b.depth:
-                    continue
-                if kind is SwapKind.SAME_PROBABILITY and a.weight != b.weight:
-                    continue
-                moves.append(SwapMove(u, v, kind))
+            moves.append(SwapMove(u, v, kind))
     return moves
 
 
@@ -154,27 +159,39 @@ def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
     return tree
 
 
+def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
+            target: Optional[str] = None) -> Tuple[_Parents, bool]:
+    """Breadth-first search from `tree`, stopping once `target` is seen.
+
+    Returns the recorded labels with their back-pointers, and whether the
+    cap skipped a neighbour.
+    """
+    parent: _Parents = {tree.label: (None, None)}
+    queue = deque([tree])
+    truncated = False
+    while queue:
+        current = queue.popleft()
+        for move in available_swaps(current, kinds):
+            neighbor = node_swap(current, move)
+            label = neighbor.label
+            if label in parent:
+                continue
+            if label == target:
+                parent[label] = (current.label, move)
+                return parent, truncated
+            if len(parent) >= cap:
+                truncated = True
+                continue
+            parent[label] = (current.label, move)
+            queue.append(neighbor)
+    return parent, truncated
+
+
 def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
                  cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """Breadth-first closure of a tree under the requested swap kinds."""
-    start = tree.label
-    trees: Dict[str, CodeTree] = {start: tree}
-    members = {start}
-    queue = deque([start])
-    truncated = False
-    while queue:
-        label = queue.popleft()
-        current = trees.pop(label)
-        for move in available_swaps(current, kinds):
-            neighbor = node_swap(current, move)
-            if neighbor.label not in members:
-                if len(members) >= cap:
-                    truncated = True
-                    continue
-                members.add(neighbor.label)
-                trees[neighbor.label] = neighbor
-                queue.append(neighbor.label)
-    return ClosureResult(tuple(sorted(members)), truncated)
+    parent, truncated = _search(tree, kinds, cap)
+    return ClosureResult(tuple(sorted(parent)), truncated)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
@@ -187,34 +204,15 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
     target = t2.label
     if t1.label == target:
         return []
-    trees: Dict[str, CodeTree] = {t1.label: t1}
-    parent: Dict[str, Tuple[Optional[str], Optional[SwapMove]]] = {
-        t1.label: (None, None)}
-    queue = deque([t1.label])
-    truncated = False
-    while queue:
-        label = queue.popleft()
-        current = trees[label]
-        for move in available_swaps(current, kinds):
-            neighbor = node_swap(current, move)
-            if neighbor.label in parent:
-                continue
-            parent[neighbor.label] = (label, move)
-            if neighbor.label == target:
-                path: List[SwapMove] = []
-                lbl: Optional[str] = neighbor.label
-                while lbl is not None:
-                    prev, mv = parent[lbl]
-                    if mv is not None:
-                        path.append(mv)
-                    lbl = prev
-                path.reverse()
-                return path
-            if len(parent) >= cap:
-                truncated = True
-                continue
-            trees[neighbor.label] = neighbor
-            queue.append(neighbor.label)
+    parent, truncated = _search(t1, kinds, cap, target)
+    if target in parent:
+        path: List[SwapMove] = []
+        label, move = parent[target]
+        while move is not None:
+            path.append(move)
+            label, move = parent[label]
+        path.reverse()
+        return path
     if truncated:
         raise Truncated("closure cap %d hit before deciding equivalence" % cap)
     return None

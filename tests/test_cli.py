@@ -137,6 +137,13 @@ class TestSwapsCommand:
                      "--to", fx("ex4_c.code"),
                      "--kinds", "parent,prob", "--cap", "2"]) == 3
 
+    def test_certificate_cap_guard(self, capsys):
+        # h2 is reachable, but not within 6 recorded trees
+        assert main(["swaps", fx("ex4.src"),
+                     "--from", fx("ex4_h1.code"),
+                     "--to", fx("ex4_h2.code"),
+                     "--kinds", "parent,prob", "--cap", "6"]) == 3
+
 
 class TestSyncCommand:
     def test_witness(self, capsys):

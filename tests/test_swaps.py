@@ -17,11 +17,13 @@ from prefixcodes import (
     swap_equivalent,
     tree_from_code,
 )
-from prefixcodes.errors import AncestryViolation, KindViolation
+from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from conftest import load_tree
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
+KIND_ORDER = (SwapKind.SAME_PARENT, SwapKind.SAME_ROW,
+              SwapKind.SAME_PROBABILITY)
 
 
 class TestNodeSwap:
@@ -98,6 +100,20 @@ class TestNodeSwap:
                            SwapKind.SAME_PROBABILITY}):
                 assert node_swap(tree, move).expected_length() == base
 
+    def test_deep_caterpillar_sibling_swap(self):
+        # codewords 1^i 0 for i < n - 1, then 1^(n-1): path length n - 1
+        n = 1100
+        src = Source.from_weights([("s%d" % i, 1) for i in range(n)])
+        words = {"s%d" % i: "1" * i + "0" for i in range(n - 1)}
+        words["s%d" % (n - 1)] = "1" * (n - 1)
+        tree = tree_from_code(src, words)
+        last, prev = "s%d" % (n - 1), "s%d" % (n - 2)
+        u, v = sorted((tree.leaf_id(last), tree.leaf_id(prev)))
+        out = node_swap(tree, SwapMove(u, v, SwapKind.SAME_PARENT))
+        assert out.depth_of(last) == n - 1
+        assert out.path(out.leaf_id(last)) == words[prev]
+        assert out.path(out.leaf_id(prev)) == words[last]
+
 
 class TestAvailableSwaps:
     def test_two_leaf_tree(self):
@@ -128,6 +144,20 @@ class TestAvailableSwaps:
                 du = tree.node(move.u).depth
                 dv = tree.node(move.v).depth
                 assert abs(du - dv) <= 1
+
+    def test_one_move_per_pair_with_first_kind(self, ex4, ex5):
+        for source in (ex4, ex5):
+            for tree in huffman_enumerate(source):
+                moves = available_swaps(tree, set(KIND_ORDER))
+                pairs = [(m.u, m.v) for m in moves]
+                assert len(pairs) == len(set(pairs))
+                for move in moves:
+                    assert move.kind is _first_kind(tree, move.u, move.v)
+                single = set()
+                for kind in KIND_ORDER:
+                    single |= {(m.u, m.v)
+                               for m in available_swaps(tree, {kind})}
+                assert set(pairs) == single
 
 
 class TestClosure:
@@ -162,6 +192,12 @@ class TestClosure:
         assert closure.truncated
         assert len(closure.members) == 2
 
+    def test_cap_counts_recorded_members(self, ex4):
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        closure = swap_closure(ex4, h1, PARENT_PROB, cap=7)
+        assert closure.truncated
+        assert len(closure.members) == 7
+
 
 class TestSwapEquivalent:
     def test_example4_certificate(self, ex4):
@@ -191,6 +227,26 @@ class TestSwapEquivalent:
                 min(move.u, move.v), max(move.u, move.v), move.kind)
             current = node_swap(current, move)
         assert current.label == h2.label
+
+    def test_cap_shared_with_closure(self, ex4):
+        # h2 is first reached from the 7th recorded tree, so a cap of 7
+        # decides the question and a cap of 6 does not
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        _, h2 = load_tree("ex4.src", "ex4_h2.code")
+        with pytest.raises(Truncated):
+            swap_equivalent(ex4, h1, h2, PARENT_PROB, cap=6)
+        moves = swap_equivalent(ex4, h1, h2, PARENT_PROB, cap=7)
+        assert len(moves) == 3
+        assert replay(h1, moves).label == h2.label
+
+
+def _first_kind(tree, u, v):
+    a, b = tree.node(u), tree.node(v)
+    if a.parent == b.parent:
+        return SwapKind.SAME_PARENT
+    if a.depth == b.depth:
+        return SwapKind.SAME_ROW
+    return SwapKind.SAME_PROBABILITY
 
 
 def _tree(source, label):
