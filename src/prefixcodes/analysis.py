@@ -28,8 +28,8 @@ from .errors import (
 from .huffman import (
     DEFAULT_POLICY,
     huffman_build,
-    huffman_enumerate,
     is_huffman,
+    row_sorted,
 )
 
 SUBSET_SCAN_MAX_SYMBOLS = 20
@@ -206,9 +206,9 @@ def classify(source: Source, code: PrefixCode) -> PropertyReport:
     optimal = exp_len == huffman_len
     huffman_member = is_huffman(source, tree)
     lengths = code.lengths()
-    length_equiv = any(
-        all(h.depth_of(s) == lengths[s] for s in source.symbols)
-        for h in huffman_enumerate(source))
+    h = row_sorted(source, tree) if complete else None  # the certificate
+    length_equiv = h is not None and is_huffman(source, h) and all(
+        h.depth_of(s) == lengths[s] for s in source.symbols)
     if not (optimal == (complete and strongly_monotone) == length_equiv):
         raise ConsistencyError(
             "optimality characterizations disagree: optimal=%s, "

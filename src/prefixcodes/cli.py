@@ -22,6 +22,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from .analysis import PropertyReport, classify
@@ -325,6 +326,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+@lru_cache(maxsize=None)  # built once per process, shared by every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefixcodes",

@@ -75,7 +75,8 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     Branches at each merge step over (a) every unordered node pair whose
     probabilities can occupy the two smallest positions of the current
     probability multiset and (b) both left/right child orders.  Results
-    are returned sorted by canonical label.
+    are returned sorted by canonical label.  Raises CapExceeded as soon
+    as more than `cap` distinct trees are found.
     """
     start = tuple(sorted(zip(source.symbols, source.weights, source.symbols),
                          key=lambda t: t[0]))
@@ -100,19 +101,20 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                 rest = state[:i] + state[i + 1:j] + state[j + 1:]
                 for left, right in ((state[i], state[j]),
                                     (state[j], state[i])):
-                    shape = (left[2], right[2])
-                    merged = (shape_label(shape), wi + wj, shape)
+                    merged = ("(%s,%s)" % (left[0], right[0]), wi + wj,
+                              (left[2], right[2]))
                     nxt = tuple(sorted(rest + (merged,), key=lambda t: t[0]))
                     out.update(rec(nxt))
+                    # every memoised set is a subset of the final result
+                    if len(out) > cap:
+                        raise CapExceeded(
+                            "at least %d distinct Huffman trees exceed cap %d"
+                            % (len(out), cap))
         result = frozenset(out)
         memo[key] = result
         return result
 
-    shapes = rec(start)
-    if len(shapes) > cap:
-        raise CapExceeded(
-            "%d distinct Huffman trees exceed cap %d" % (len(shapes), cap))
-    ordered = sorted(shapes, key=shape_label)
+    ordered = sorted(rec(start), key=shape_label)
     return tuple(CodeTree(source, s) for s in ordered)
 
 
@@ -182,20 +184,14 @@ def is_huffman(source: Source, tree: CodeTree) -> bool:
         return False
 
 
-def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
-    """Row-permute an optimal tree into a length-equivalent Huffman tree.
+def row_sorted(source: Source, tree: CodeTree) -> CodeTree:
+    """Row-permute a tree so each row is in non-increasing probability.
 
     Working upward from the bottom row, each row's nodes (with their
-    subtrees) are stably reordered into non-increasing probability, so
-    non-leaves keep their relative order.  The result satisfies the
-    sibling property.
+    subtrees) are stably reordered by probability.  Leaf depths are kept,
+    so on a complete tree the result is a Huffman tree iff the input is
+    optimal (a Huffman tree is optimal; the paper proves the converse).
     """
-    from .analysis import is_optimal  # local import to avoid a cycle
-
-    if not tree.is_complete:
-        raise NotComplete("huffmanize requires a complete tree")
-    if not is_optimal(source, code_from_tree(tree)):
-        raise NotOptimal("huffmanize requires an optimal code")
     below = []
     for row in reversed(tree.rows()):
         feed = iter(below)  # (weight, shape) of the row below, reordered
@@ -210,3 +206,14 @@ def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
         current.sort(key=lambda ws: ws[0], reverse=True)
         below = current
     return CodeTree(source, below[0][1])
+
+
+def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
+    """Row-permute an optimal tree into a length-equivalent Huffman tree."""
+    from .analysis import is_optimal  # local import to avoid a cycle
+
+    if not tree.is_complete:
+        raise NotComplete("huffmanize requires a complete tree")
+    if not is_optimal(source, code_from_tree(tree)):
+        raise NotOptimal("huffmanize requires an optimal code")
+    return row_sorted(source, tree)

@@ -3,6 +3,7 @@ small source and cross-check every characterization against it."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -302,25 +303,15 @@ def verify_theorems(source: Source) -> VerificationReport:
 
 def _tree_for_label(source: Source, label: str) -> CodeTree:
     """Rebuild a CodeTree from a canonical label of a complete tree."""
-    pos = 0
-
-    def parse() -> Shape:
-        nonlocal pos
-        if label[pos] == "(":
-            pos += 1
-            left = parse()
-            assert label[pos] == ","
-            pos += 1
-            right = parse()
-            assert label[pos] == ")"
-            pos += 1
-            return (left, right)
-        start = pos
-        while label[pos] not in ",)":
-            pos += 1
-        return label[start:pos]
-
-    return CodeTree(source, parse())
+    stack: List[Shape] = []
+    for token in re.findall(r"[(),]|[^(),]+", label):
+        if token == ")":
+            right = stack.pop()
+            stack.append((stack.pop(), right))
+        elif token not in ("(", ","):
+            stack.append(token)
+    (shape,) = stack
+    return CodeTree(source, shape)
 
 
 def builtin_corpus() -> List[Tuple[str, Source]]:

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,13 @@ from prefixcodes import (
     MonotonicityWitness,
     PrefixCode,
     Source,
+    builtin_corpus,
     classify,
     code_from_tree,
+    enumerate_complete_trees,
     expected_length,
+    huffman_build,
+    huffman_enumerate,
     improve_from_witness,
     is_complete,
     is_monotone,
@@ -18,8 +24,13 @@ from prefixcodes import (
     strong_monotonicity_check,
     tree_from_code,
 )
-from prefixcodes.errors import AlphabetTooLarge, InvalidWitness
-from conftest import load_code, load_tree
+from prefixcodes.cli import main
+from prefixcodes.errors import (
+    AlphabetTooLarge,
+    ConsistencyError,
+    InvalidWitness,
+)
+from conftest import FIXTURES, load_code, load_tree
 
 
 class TestIsComplete:
@@ -164,3 +175,74 @@ class TestClassify:
         assert not report.complete
         assert not report.optimal
         assert report.kraft_total == Fraction(3, 4)
+        assert not report.length_equivalent_to_huffman
+
+
+def _tied_sources(count, seed=7):
+    rng = random.Random(seed)
+    sources = []
+    for k in range(count):
+        n = rng.randint(2, 5)
+        sources.append(("tied%d" % k, Source.from_weights(
+            ("s%d" % i, rng.randint(1, 4)) for i in range(n))))
+    return sources
+
+
+def _write(path, lines):
+    path.write_text("".join("%s %s\n" % pair for pair in lines))
+    return str(path)
+
+
+class TestLengthEquivalenceCertificate:
+    """The row-sorted Huffman certificate against full enumeration."""
+
+    def test_agrees_with_enumeration(self):
+        sources = [(name, src) for name, src in builtin_corpus()
+                   if len(src) <= 5] + _tied_sources(30)
+        profiles_checked = 0
+        for name, src in sources:
+            huffman_profiles = {
+                tuple(h.depth_of(s) for s in src.symbols)
+                for h in huffman_enumerate(src)}
+            seen = {}
+            for tree in enumerate_complete_trees(src).members:
+                profile = tuple(tree.depth_of(s) for s in src.symbols)
+                if profile not in seen:
+                    seen[profile] = code_from_tree(tree)
+            for profile, code in seen.items():
+                report = classify(src, code)
+                assert report.length_equivalent_to_huffman == (
+                    profile in huffman_profiles), (name, profile)
+            profiles_checked += len(seen)
+        assert profiles_checked > 1000
+
+    def test_check_on_18_distinct_symbols(self, tmp_path):
+        weights = [("s%d" % i, i * i + 1) for i in range(18)]
+        code = code_from_tree(huffman_build(Source.from_weights(weights)))
+        src_file = _write(tmp_path / "s.src", weights)
+        good = _write(tmp_path / "h.code", code.words.items())
+        assert main(["check", src_file, good]) == 0
+        # give the most probable symbol the least probable one's word
+        words = dict(code.words)
+        words["s0"], words["s17"] = words["s17"], words["s0"]
+        bad = _write(tmp_path / "p.code", words.items())
+        assert main(["check", src_file, bad]) == 1
+
+    def test_incomplete_code_json(self, tmp_path, capsys):
+        src_file = _write(tmp_path / "s.src", [("a", 2), ("b", 1), ("c", 1)])
+        code = _write(tmp_path / "c.code",
+                      [("a", "0"), ("b", "10"), ("c", "110")])
+        assert main(["check", src_file, code, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["complete"] is False
+        assert data["length_equivalent_to_huffman"] is False
+
+    def test_cross_check_fires(self, ex4, monkeypatch, capsys):
+        # without the row sort, ex4_c (optimal, not Huffman) fails the leg
+        monkeypatch.setattr("prefixcodes.analysis.row_sorted",
+                            lambda source, tree: tree)
+        with pytest.raises(ConsistencyError):
+            classify(ex4, load_code("ex4_c.code"))
+        assert main(["check", str(FIXTURES / "ex4.src"),
+                     str(FIXTURES / "ex4_c.code")]) == 4
+        assert "length_equivalent=False" in capsys.readouterr().err

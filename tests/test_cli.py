@@ -66,6 +66,13 @@ class TestHuffmanCommand:
     def test_cap_guard(self, capsys):
         assert main(["huffman", fx("ex4.src"), "--all", "--cap", "1"]) == 3
 
+    def test_all_on_ten_equiprobable_symbols(self, tmp_path, capsys):
+        src = tmp_path / "u10.src"
+        src.write_text("".join("s%d 1\n" % i for i in range(10)))
+        assert main(["huffman", str(src), "--all"]) == 3
+        assert ("distinct Huffman trees exceed cap 100000"
+                in capsys.readouterr().err)
+
 
 class TestCheckCommand:
     def test_optimal_code(self, capsys):

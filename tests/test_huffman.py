@@ -18,7 +18,7 @@ from prefixcodes import (
     sibling_property_exhaustive,
     tree_from_code,
 )
-from prefixcodes.errors import NotComplete, NotOptimal
+from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from conftest import load_code, load_tree
 
 ALL_POLICIES = [TiePolicy(sel, order)
@@ -79,6 +79,14 @@ class TestEnumerate:
     def test_cap(self, ex4):
         with pytest.raises(Exception):
             huffman_enumerate(ex4, cap=1)
+
+    def test_cap_trips_during_search(self):
+        # 10 equiprobable symbols have more Huffman trees than the
+        # default cap; the search stops once its partial result passes it
+        src = Source.from_weights([("s%d" % i, 1) for i in range(10)])
+        with pytest.raises(CapExceeded, match=r"^at least \d+ distinct "
+                           r"Huffman trees exceed cap 100000$"):
+            huffman_enumerate(src)
 
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):

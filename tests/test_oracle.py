@@ -10,10 +10,11 @@ from prefixcodes import (
     min_expected_length,
     optimal_set,
     swap_closure,
+    tree_from_code,
     verify_theorems,
 )
 from prefixcodes.errors import AlphabetTooLarge
-from prefixcodes.oracle import catalan
+from prefixcodes.oracle import _tree_for_label, catalan
 from conftest import load_tree
 
 
@@ -77,7 +78,6 @@ class TestOptimalSet:
         # the same symbol sits at different depths across optimal trees
         depths = set()
         for label in optimal_set(ex5):
-            from prefixcodes.oracle import _tree_for_label
             depths.add(_tree_for_label(ex5, label).depth_of("c"))
         assert {2, 4} <= depths
 
@@ -119,3 +119,16 @@ class TestBuiltinCorpus:
         assert len(names) == len(set(names))
         assert all(2 <= len(src) <= 6 for _, src in corpus)
         assert len(corpus) >= 8
+
+
+class TestTreeForLabel:
+    def test_deep_caterpillar_round_trip(self):
+        # codewords 1^i 0 for i < n - 1, then 1^(n-1): nesting depth n - 1
+        n = 1100
+        src = Source.from_weights([("s%d" % i, 1) for i in range(n)])
+        words = {"s%d" % i: "1" * i + "0" for i in range(n - 1)}
+        words["s%d" % (n - 1)] = "1" * (n - 1)
+        tree = tree_from_code(src, words)
+        back = _tree_for_label(src, tree.label)
+        assert back.label == tree.label
+        assert back.depth_of("s%d" % (n - 1)) == n - 1
