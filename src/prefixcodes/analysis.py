@@ -14,7 +14,6 @@ from .core import (
     PrefixCode,
     Source,
     code_from_lengths,
-    code_from_tree,
     expected_length,
     kraft_sum,
     tree_from_code,
@@ -25,12 +24,7 @@ from .errors import (
     ConsistencyError,
     InvalidWitness,
 )
-from .huffman import (
-    DEFAULT_POLICY,
-    huffman_build,
-    is_huffman,
-    row_sorted,
-)
+from .huffman import huffman_build, is_huffman, row_sorted
 
 SUBSET_SCAN_MAX_SYMBOLS = 20
 
@@ -149,8 +143,8 @@ def strong_monotonicity_check(source: Source, code: PrefixCode
 
 def is_optimal(source: Source, code: PrefixCode) -> bool:
     """Exact comparison against the Huffman expected length."""
-    reference = code_from_tree(huffman_build(source, DEFAULT_POLICY))
-    return expected_length(source, code) == expected_length(source, reference)
+    return (expected_length(source, code)
+            == huffman_build(source).expected_length())
 
 
 def length_equivalent(c1: PrefixCode, c2: PrefixCode) -> bool:
@@ -201,8 +195,7 @@ def classify(source: Source, code: PrefixCode) -> PropertyReport:
     witness = strong_monotonicity_check(source, code)
     strongly_monotone = witness is None
     exp_len = expected_length(source, code)
-    huffman_code = code_from_tree(huffman_build(source, DEFAULT_POLICY))
-    huffman_len = expected_length(source, huffman_code)
+    huffman_len = huffman_build(source).expected_length()
     optimal = exp_len == huffman_len
     huffman_member = is_huffman(source, tree)
     lengths = code.lengths()

@@ -11,7 +11,9 @@ A code tree is given as a nested "shape" (leaf = symbol string,
 internal node = pair of child shapes, a missing child = None) and is
 stored as a flat node arena with ids assigned in breadth-first order,
 so that (row, index-in-row) addressing is stable across rebuilds of the
-same tree.  No function here recurses, so trees of any depth work.
+same tree.  Each arena node holds the subtree shape rooted at it, so a
+rebuild that changes a few subtrees reuses the shapes of the rest.  No
+function here recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
@@ -158,13 +160,14 @@ class Node:
     """One arena slot of a CodeTree; ids are breadth-first positions.
 
     `weight` is the node's probability as an integer over the source's
-    `den`; `prob` gives it back as a Fraction.
+    `den`; `prob` gives it back as a Fraction.  `shape` is the subtree
+    shape rooted at the node.
     """
 
     __slots__ = ("id", "parent", "left", "right", "depth", "weight", "symbol",
-                 "den")
+                 "den", "shape")
 
-    def __init__(self, id, parent, depth, weight, symbol, den):
+    def __init__(self, id, parent, depth, weight, symbol, den, shape):
         self.id = id
         self.parent = parent
         self.left = None
@@ -173,6 +176,7 @@ class Node:
         self.weight = weight
         self.symbol = symbol
         self.den = den
+        self.shape = shape
 
     @property
     def prob(self) -> Fraction:
@@ -225,12 +229,12 @@ class CodeTree:
                         "tree leaves do not match the source alphabet")
                 leaf_id[shp] = nid
                 nodes.append(Node(nid, parent, depth, weight_of[shp], shp,
-                                  den))
+                                  den, shp))
                 continue
             left, right = shp
             if left is None and right is None:
                 raise InvalidTree("internal node with no children")
-            node = Node(nid, parent, depth, 0, None, den)
+            node = Node(nid, parent, depth, 0, None, den, shp)
             # the queue holds ids nid+1 .. nid+len(queue) already
             if left is not None:
                 node.left = nid + 1 + len(queue)
@@ -301,12 +305,6 @@ class CodeTree:
             bits.append("0" if parent.left == node.id else "1")
             node = parent
         return "".join(reversed(bits))
-
-    def shape_at(self, node_id: int) -> Shape:
-        shp = self.shape
-        for bit in self.path(node_id):
-            shp = shp[0] if bit == "0" else shp[1]
-        return shp
 
     def expected_length(self) -> Fraction:
         return Fraction(sum(n.weight * n.depth for n in self.nodes

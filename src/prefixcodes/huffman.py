@@ -82,17 +82,13 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                          key=lambda t: t[0]))
     memo: Dict[Tuple[str, ...], FrozenSet[Shape]] = {}
 
-    def rec(state) -> FrozenSet[Shape]:
+    def key(state) -> Tuple[str, ...]:
+        return tuple(lbl for lbl, _, _ in state)
+
+    def successors(state):
         # state: tuple of (label, weight, shape), sorted by label
-        if len(state) == 1:
-            return frozenset({state[0][2]})
-        key = tuple(lbl for lbl, _, _ in state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         weights = sorted(w for _, w, _ in state)
         smallest_two = (weights[0], weights[1])
-        out = set()
         for i in range(len(state)):
             for j in range(i + 1, len(state)):
                 wi, wj = state[i][1], state[j][1]
@@ -103,18 +99,32 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                                     (state[j], state[i])):
                     merged = ("(%s,%s)" % (left[0], right[0]), wi + wj,
                               (left[2], right[2]))
-                    nxt = tuple(sorted(rest + (merged,), key=lambda t: t[0]))
-                    out.update(rec(nxt))
-                    # every memoised set is a subset of the final result
-                    if len(out) > cap:
-                        raise CapExceeded(
-                            "at least %d distinct Huffman trees exceed cap %d"
-                            % (len(out), cap))
-        result = frozenset(out)
-        memo[key] = result
-        return result
+                    yield tuple(sorted(rest + (merged,), key=lambda t: t[0]))
 
-    ordered = sorted(rec(start), key=shape_label)
+    def fold(out, trees) -> None:
+        out.update(trees)
+        # every memoised set is a subset of the final result
+        if len(out) > cap:
+            raise CapExceeded(
+                "at least %d distinct Huffman trees exceed cap %d"
+                % (len(out), cap))
+
+    # depth-first over merge states: (state, unvisited successors, trees)
+    stack = [(start, successors(start), set())]
+    while stack:
+        state, todo, out = stack[-1]
+        for nxt in todo:
+            trees = (nxt[0][2],) if len(nxt) == 1 else memo.get(key(nxt))
+            if trees is None:  # expand nxt; its frame folds into this one
+                stack.append((nxt, successors(nxt), set()))
+                break
+            fold(out, trees)
+        else:
+            stack.pop()
+            trees = memo[key(state)] = frozenset(out)
+            if stack:
+                fold(stack[-1][2], trees)
+    ordered = sorted(trees, key=shape_label)
     return tuple(CodeTree(source, s) for s in ordered)
 
 

@@ -104,38 +104,38 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
                            count=factorial(n) * catalan(n - 1))
 
 
-def min_expected_length(source: Source) -> Fraction:
-    """Exact minimum expected length over all complete trees."""
+_Fill = Tuple[Shape, Tuple[int, ...]]  # (template, symbol-index permutation)
+
+
+def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
+    """Minimum weighted depth sum over all complete trees, and the fill of
+    every tree that reaches it."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     weights = source.weights
     best: Optional[int] = None
+    fills: List[_Fill] = []
     for template in _shape_templates(len(source)):
         depths = _leaf_depths(template)
         for perm in permutations(range(len(source))):
             total = sum(weights[s] * d for s, d in zip(perm, depths))
             if best is None or total < best:
                 best = total
-    return Fraction(best, source.den)
+                fills = []
+            if total == best:
+                fills.append((template, perm))
+    return best, fills
+
+
+def min_expected_length(source: Source) -> Fraction:
+    """Exact minimum expected length over all complete trees."""
+    return Fraction(_optimum(source)[0], source.den)
 
 
 def optimal_set(source: Source) -> Set[str]:
     """Canonical labels of every minimum-expected-length complete tree."""
-    _guard(source, ENUMERATION_MAX_SYMBOLS)
-    weights = source.weights
     symbols = source.symbols
-    best: Optional[int] = None
-    labels: Set[str] = set()
-    for template in _shape_templates(len(source)):
-        depths = _leaf_depths(template)
-        for perm in permutations(range(len(symbols))):
-            total = sum(weights[s] * d for s, d in zip(perm, depths))
-            if best is None or total < best:
-                best = total
-                labels = set()
-            if total == best:
-                shape = _fill(template, tuple(symbols[s] for s in perm))
-                labels.add(shape_label(shape))
-    return labels
+    return {shape_label(_fill(template, tuple(symbols[s] for s in perm)))
+            for template, perm in _optimum(source)[1]}
 
 
 @dataclass

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import CodeTree, Shape, Source
+from .core import CodeTree, Source
 from .errors import AncestryViolation, KindViolation, ParseError, Truncated
 
 DEFAULT_CLOSURE_CAP = 200_000
@@ -56,17 +56,6 @@ def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
     return False
 
 
-def _replace(shape: Shape, path: str, replacement: Shape) -> Shape:
-    ancestors = []
-    for bit in path:
-        ancestors.append(shape)
-        shape = shape[0] if bit == "0" else shape[1]
-    for bit, (left, right) in zip(reversed(path), reversed(ancestors)):
-        replacement = ((replacement, right) if bit == "0"
-                       else (left, replacement))
-    return replacement
-
-
 def _check_kind(tree: CodeTree, move: SwapMove) -> None:
     a, b = tree.node(move.u), tree.node(move.v)
     if move.kind is SwapKind.SAME_PARENT:
@@ -92,11 +81,19 @@ def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
     if _is_ancestor(tree, move.u, move.v) or _is_ancestor(tree, move.v, move.u):
         raise AncestryViolation("one swap endpoint is a descendant of the other")
     _check_kind(tree, move)
-    path_u, path_v = tree.path(move.u), tree.path(move.v)
-    sub_u, sub_v = tree.shape_at(move.u), tree.shape_at(move.v)
-    shape = _replace(tree.shape, path_u, sub_v)
-    shape = _replace(shape, path_v, sub_u)
-    return CodeTree(tree.source, shape)
+    nodes = tree.nodes
+    # Rebuild the exchanged subtrees' ancestors bottom-up.  Ids are
+    # breadth-first, so no pending id lies below the largest one.
+    pending = {move.u: nodes[move.v].shape, move.v: nodes[move.u].shape}
+    nid = max(pending)
+    while nid:
+        shape = pending.pop(nid)
+        parent = nodes[nodes[nid].parent]
+        left, right = pending.get(parent.id, parent.shape)
+        pending[parent.id] = ((shape, right) if parent.left == nid
+                              else (left, shape))
+        nid = max(pending)
+    return CodeTree(tree.source, pending[0])
 
 
 def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from prefixcodes import PrefixCode, Source, tree_from_code
+from prefixcodes import PrefixCode, Source, code_from_tree, tree_from_code
 from prefixcodes.cli import parse_code_text, parse_source_text
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -19,6 +19,20 @@ def load_code(name: str) -> PrefixCode:
 def load_tree(source_name: str, code_name: str):
     source = load_source(source_name)
     return source, tree_from_code(source, load_code(code_name))
+
+
+def swapped_code(tree, move) -> PrefixCode:
+    """The code a swap should give, worked out from codewords alone: the
+    prefixes path(u) and path(v) trade places on the leaves below u and v."""
+    pu, pv = tree.path(move.u), tree.path(move.v)
+    words = {}
+    for sym, word in code_from_tree(tree).words.items():
+        for old, new in ((pu, pv), (pv, pu)):
+            if word.startswith(old):
+                word = new + word[len(old):]
+                break
+        words[sym] = word
+    return PrefixCode(words)
 
 
 @pytest.fixture(scope="session")

@@ -198,6 +198,11 @@ class TestVerifyCommand:
     def test_needs_input(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_corpus_stops_at_max_n(self, capsys):
+        # coin and the three 4-symbol sources run; ninths5 trips the guard
+        assert main(["verify", "--corpus", "--max-n", "4"]) == 3
+        assert "ninths5 has 5 symbols, limit 4" in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error, code, message", [
@@ -231,12 +236,21 @@ class TestDeepTrees:
         assert main(["sync", str(src), str(code)]) == 3
         assert "internal nodes" in capsys.readouterr().err
 
-    def test_huffman_json_on_dyadic_weights(self, tmp_path, capsys):
+    def dyadic_source(self, tmp_path):
         weights = [1] + [1 << k for k in range(self.N - 1)]
         src = tmp_path / "s.src"
         src.write_text("".join("s%d %d\n" % (i, w)
                                for i, w in enumerate(weights)))
-        assert main(["huffman", str(src), "--json"]) == 0
+        return str(src)
+
+    def test_huffman_json_on_dyadic_weights(self, tmp_path, capsys):
+        assert main(["huffman", self.dyadic_source(tmp_path), "--json"]) == 0
         lengths = json.loads(capsys.readouterr().out)["lengths"]
         assert lengths["s0"] == lengths["s1"] == self.N - 1
         assert max(lengths.values()) == self.N - 1
+
+    def test_huffman_all_on_dyadic_weights_hits_cap(self, tmp_path, capsys):
+        # the merge search runs 1,099 levels deep before the cap trips
+        src = self.dyadic_source(tmp_path)
+        assert main(["huffman", src, "--all", "--cap", "10"]) == 3
+        assert "exceed cap 10" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.oracle import min_expected_length
+from conftest import swapped_code
 
 
 @st.composite
@@ -42,6 +43,23 @@ def trees(draw):
             break
         tree = node_swap(tree, draw(st.sampled_from(moves)))
     return tree
+
+
+@st.composite
+def any_trees(draw):
+    """A random code tree, often incomplete: leaves of a growing code are
+    replaced by one or both children."""
+    words = ["0", "1"]
+    for _ in range(draw(st.integers(0, 6))):
+        word = words.pop(draw(st.integers(0, len(words) - 1)))
+        bits = draw(st.sampled_from(["0", "1", "01"]))
+        words += [word + bit for bit in bits]
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(words),
+                            max_size=len(words)))
+    source = Source.from_weights(
+        ("s%d" % i, w) for i, w in enumerate(weights))
+    return tree_from_code(source, {"s%d" % i: word
+                                   for i, word in enumerate(words)})
 
 
 @given(sources())
@@ -100,6 +118,15 @@ def test_swaps_preserve_rows_and_expected_length(tree, data):
         rows_before = [len(r) for r in tree.rows()]
         rows_after = [len(r) for r in swapped.rows()]
         assert rows_before == rows_after
+
+
+@given(any_trees())
+@settings(max_examples=60, deadline=None)
+def test_node_swap_exchanges_codeword_prefixes(tree):
+    for kind in SwapKind:
+        for move in available_swaps(tree, {kind}):
+            assert code_from_tree(node_swap(tree, move)) == swapped_code(
+                tree, move)
 
 
 @given(trees())

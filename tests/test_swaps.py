@@ -7,6 +7,7 @@ from prefixcodes import (
     SwapKind,
     SwapMove,
     available_swaps,
+    code_from_tree,
     huffman_enumerate,
     is_huffman,
     move_from_text,
@@ -18,7 +19,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
-from conftest import load_tree
+from conftest import load_tree, swapped_code
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
@@ -99,6 +100,15 @@ class TestNodeSwap:
                     tree, {SwapKind.SAME_PARENT, SwapKind.SAME_ROW,
                            SwapKind.SAME_PROBABILITY}):
                 assert node_swap(tree, move).expected_length() == base
+
+    def test_exchanges_codeword_prefixes(self, ex4, ex5):
+        for source in (ex4, ex5):
+            for tree in huffman_enumerate(source):
+                for kind in KIND_ORDER:
+                    for move in available_swaps(tree, {kind}):
+                        swapped = node_swap(tree, move)
+                        assert (code_from_tree(swapped)
+                                == swapped_code(tree, move))
 
     def test_deep_caterpillar_sibling_swap(self):
         # codewords 1^i 0 for i < n - 1, then 1^(n-1): path length n - 1
