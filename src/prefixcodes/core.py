@@ -209,7 +209,7 @@ class CodeTree:
     """
 
     __slots__ = ("source", "shape", "nodes", "root", "_label", "_rows",
-                 "_leaf_id")
+                 "_complete", "_leaf_id")
 
     def __init__(self, source: Source, shape: Shape):
         if isinstance(shape, str):
@@ -254,6 +254,7 @@ class CodeTree:
         self.root = 0
         self._label = None
         self._rows = None
+        self._complete = None
         self._leaf_id = leaf_id
 
     @property
@@ -293,8 +294,10 @@ class CodeTree:
 
     @property
     def is_complete(self) -> bool:
-        return all(n.is_leaf or (n.left is not None and n.right is not None)
-                   for n in self.nodes)
+        if self._complete is None:  # nothing changes a tree's nodes
+            self._complete = all(n.is_leaf or None not in (n.left, n.right)
+                                 for n in self.nodes)
+        return self._complete
 
     def path(self, node_id: int) -> str:
         """Bit path from the root to a node (0 = left edge, 1 = right edge)."""
@@ -352,10 +355,11 @@ def tree_from_code(source: Source, code) -> CodeTree:
 
 def code_from_tree(tree: CodeTree) -> PrefixCode:
     """Read codewords off a tree: left edges are 0, right edges are 1."""
-    words = {}
-    for sym in tree.source.symbols:
-        words[sym] = tree.path(tree.leaf_id(sym))
-    return PrefixCode(words)
+    nodes, paths = tree.nodes, [""]
+    for node in nodes[1:]:  # breadth-first ids: each parent's path is ready
+        bit = "0" if nodes[node.parent].left == node.id else "1"
+        paths.append(paths[node.parent] + bit)
+    return PrefixCode({s: paths[tree.leaf_id(s)] for s in tree.source.symbols})
 
 
 def kraft_sum(code: PrefixCode, subset: Optional[Iterable[str]] = None
@@ -363,10 +367,9 @@ def kraft_sum(code: PrefixCode, subset: Optional[Iterable[str]] = None
     """Exact sum of 2^-len(word) over a subset of the code's symbols."""
     if subset is None:
         subset = code.words
-    total = Fraction(0)
-    for sym in subset:
-        total += Fraction(1, 2 ** len(code.word(sym)))
-    return total
+    lengths = [len(code.word(sym)) for sym in subset]
+    top = max(lengths, default=0)
+    return Fraction(sum(1 << (top - ln) for ln in lengths), 1 << top)
 
 
 def expected_length(source: Source, code: PrefixCode) -> Fraction:

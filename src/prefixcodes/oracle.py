@@ -133,9 +133,12 @@ def min_expected_length(source: Source) -> Fraction:
 
 def optimal_set(source: Source) -> Set[str]:
     """Canonical labels of every minimum-expected-length complete tree."""
-    symbols = source.symbols
-    return {shape_label(_fill(template, tuple(symbols[s] for s in perm)))
-            for template, perm in _optimum(source)[1]}
+    return _fill_labels(source, _optimum(source)[1])
+
+
+def _fill_labels(source: Source, fills: List[_Fill]) -> Set[str]:
+    return {shape_label(_fill(t, tuple(source.symbols[s] for s in perm)))
+            for t, perm in fills}
 
 
 @dataclass
@@ -174,8 +177,9 @@ def verify_theorems(source: Source) -> VerificationReport:
     huffman_trees = huffman_enumerate(source)
     huffman_labels = {t.label for t in huffman_trees}
     huffman_length_keys = {_lengths_key(t) for t in huffman_trees}
-    opt_labels = optimal_set(source)
-    min_len = min_expected_length(source)
+    best, fills = _optimum(source)  # one brute-force pass for both
+    opt_labels = _fill_labels(source, fills)
+    min_len = Fraction(best, source.den)
 
     # Huffman optimality, independently of the sibling property.
     built = huffman_build(source)

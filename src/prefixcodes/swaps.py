@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import CodeTree, Source
+from .core import CodeTree, Shape, Source, shape_label
 from .errors import AncestryViolation, KindViolation, ParseError, Truncated
 
 DEFAULT_CLOSURE_CAP = 200_000
@@ -72,8 +72,8 @@ def _check_kind(tree: CodeTree, move: SwapMove) -> None:
                                 % (move.u, move.v))
 
 
-def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
-    """Apply one swap, returning a new tree; the input is unchanged."""
+def swapped_shape(tree: CodeTree, move: SwapMove) -> Shape:
+    """The shape of the tree after one checked swap; builds no tree."""
     if move.u == move.v:
         raise AncestryViolation("cannot swap a node with itself")
     if not (0 <= move.u < len(tree.nodes) and 0 <= move.v < len(tree.nodes)):
@@ -93,7 +93,12 @@ def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
         pending[parent.id] = ((shape, right) if parent.left == nid
                               else (left, shape))
         nid = max(pending)
-    return CodeTree(tree.source, pending[0])
+    return pending[0]
+
+
+def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
+    """Apply one swap, returning a new tree; the input is unchanged."""
+    return CodeTree(tree.source, swapped_shape(tree, move))
 
 
 def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
@@ -164,23 +169,21 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     cap skipped a neighbour.
     """
     parent: _Parents = {tree.label: (None, None)}
-    queue = deque([tree])
+    queue = deque([(tree.label, tree)])
     truncated = False
     while queue:
-        current = queue.popleft()
+        here, current = queue.popleft()
         for move in available_swaps(current, kinds):
-            neighbor = node_swap(current, move)
-            label = neighbor.label
+            label = shape_label(swapped_shape(current, move))  # no tree yet
             if label in parent:
                 continue
-            if label == target:
-                parent[label] = (current.label, move)
-                return parent, truncated
-            if len(parent) >= cap:
+            if label != target and len(parent) >= cap:
                 truncated = True
                 continue
-            parent[label] = (current.label, move)
-            queue.append(neighbor)
+            parent[label] = (here, move)
+            queue.append((label, node_swap(current, move)))
+            if label == target:
+                return parent, truncated
     return parent, truncated
 
 

@@ -1,8 +1,15 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from prefixcodes import PrefixCode, Source, code_from_tree, tree_from_code
+from prefixcodes import (
+    PrefixCode,
+    Source,
+    code_from_tree,
+    decoder_step,
+    tree_from_code,
+)
 from prefixcodes.cli import parse_code_text, parse_source_text
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -33,6 +40,33 @@ def swapped_code(tree, move) -> PrefixCode:
                 break
         words[sym] = word
     return PrefixCode(words)
+
+
+def code_by_paths(tree) -> PrefixCode:
+    """The tree's code read one leaf at a time through `CodeTree.path`."""
+    return PrefixCode({sym: tree.path(tree.leaf_id(sym))
+                       for sym in tree.source.symbols})
+
+
+def kraft_sum_by_fractions(code, subset) -> Fraction:
+    """The Kraft sum added one Fraction per symbol."""
+    return sum((Fraction(1, 2 ** len(code.word(sym))) for sym in subset),
+               Fraction(0))
+
+
+def fold_decoder_step(tree, state, bits):
+    """`decoder_step` applied bit by bit."""
+    for ch in bits:
+        state = decoder_step(tree, state, int(ch))
+    return state
+
+
+def caterpillar(n: int):
+    """Equiprobable n-symbol source and the code 0, 10, 110, ..., 1^(n-1)."""
+    source = Source.from_weights([("s%d" % i, 1) for i in range(n)])
+    words = {"s%d" % i: "1" * i + "0" for i in range(n - 1)}
+    words["s%d" % (n - 1)] = "1" * (n - 1)
+    return source, words
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,14 @@ from prefixcodes.errors import (
     PrefixViolation,
     UnknownSymbol,
 )
-from conftest import load_code, load_source, load_tree
+from conftest import (
+    caterpillar,
+    code_by_paths,
+    kraft_sum_by_fractions,
+    load_code,
+    load_source,
+    load_tree,
+)
 
 
 class TestSource:
@@ -123,6 +130,14 @@ class TestCodeFromTree:
             assert code_from_tree(tree) == code
             assert tree_from_code(src, code_from_tree(tree)).label == tree.label
 
+    def test_deep_caterpillar_matches_paths(self):
+        source, words = caterpillar(1100)
+        tree = tree_from_code(source, words)
+        code = code_from_tree(tree)
+        assert code.words == words
+        assert list(code.words.items()) == list(
+            code_by_paths(tree).words.items())
+
 
 class TestCanonicalLabel:
     def test_known_labels(self, ex1):
@@ -166,6 +181,17 @@ class TestKraftSum:
     def test_unknown_symbol(self, ex3):
         with pytest.raises(UnknownSymbol):
             kraft_sum(load_code("ex3_c.code"), {"zz"})
+
+    def test_empty_subset_is_fraction_zero(self, ex3):
+        total = kraft_sum(load_code("ex3_c.code"), [])
+        assert total == Fraction(0) and isinstance(total, Fraction)
+
+    def test_deep_caterpillar_matches_fractions(self):
+        _, words = caterpillar(1100)
+        code = PrefixCode(words)
+        assert kraft_sum(code) == kraft_sum_by_fractions(code, words) == 1
+        deep = ["s1099", "s1098", "s3"]
+        assert kraft_sum(code, deep) == kraft_sum_by_fractions(code, deep)
 
 
 class TestExpectedLength:

@@ -14,13 +14,19 @@ from prefixcodes import (
     is_monotone,
     kraft_sum,
     node_swap,
+    run_string,
     sibling_property,
     sibling_property_exhaustive,
     strong_monotonicity_check,
     tree_from_code,
 )
 from prefixcodes.oracle import min_expected_length
-from conftest import swapped_code
+from conftest import (
+    code_by_paths,
+    fold_decoder_step,
+    kraft_sum_by_fractions,
+    swapped_code,
+)
 
 
 @st.composite
@@ -140,3 +146,24 @@ def test_greedy_sibling_check_matches_backtracking(tree):
 @given(sources())
 def test_source_probabilities_sum_to_one(source):
     assert sum(source.prob(s) for s in source.symbols) == Fraction(1)
+
+
+@given(any_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_code_and_kraft_sum_match_per_symbol_forms(tree, data):
+    code = code_from_tree(tree)
+    assert list(code.words.items()) == list(
+        code_by_paths(tree).words.items())
+    subset = data.draw(st.lists(st.sampled_from(tree.source.symbols),
+                                unique=True))
+    assert kraft_sum(code, subset) == kraft_sum_by_fractions(code, subset)
+    assert kraft_sum(code) == kraft_sum_by_fractions(code, code.words)
+
+
+@given(trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_string_is_a_fold_of_decoder_step(tree, data):
+    bits = data.draw(st.text(alphabet="01", max_size=40))
+    for state in tree.internal_ids:
+        assert (run_string(tree, state, bits)
+                == fold_decoder_step(tree, state, bits))

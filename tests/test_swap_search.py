@@ -1,0 +1,147 @@
+"""The swap search that labels swapped shapes against a reference search
+that builds a tree for every neighbour, as the search once did."""
+
+import random
+from collections import deque
+from itertools import combinations
+
+import pytest
+
+from prefixcodes import (
+    ClosureResult,
+    Source,
+    SwapKind,
+    available_swaps,
+    code_from_tree,
+    huffman_build,
+    huffman_enumerate,
+    node_swap,
+    replay,
+    swap_closure,
+    swap_equivalent,
+    tree_from_code,
+)
+from prefixcodes import swaps
+from prefixcodes.core import shape_label
+from prefixcodes.errors import Truncated
+from prefixcodes.swaps import swapped_shape
+
+KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
+CAPS = (3, 10, 10 ** 6)
+
+
+def reference_search(tree, kinds, cap, target=None):
+    """The search loop that calls `node_swap` for every neighbour."""
+    parent = {tree.label: (None, None)}
+    queue = deque([tree])
+    truncated = False
+    while queue:
+        current = queue.popleft()
+        for move in available_swaps(current, kinds):
+            neighbor = node_swap(current, move)
+            label = neighbor.label
+            if label in parent:
+                continue
+            if label == target:
+                parent[label] = (current.label, move)
+                return parent, truncated
+            if len(parent) >= cap:
+                truncated = True
+                continue
+            parent[label] = (current.label, move)
+            queue.append(neighbor)
+    return parent, truncated
+
+
+def _random_source(rng, n):
+    return Source.from_weights(("s%d" % i, rng.randint(1, 16))
+                               for i in range(n))
+
+
+def _complete_tree(rng, source):
+    tree = huffman_build(source)
+    for _ in range(rng.randint(0, 3)):
+        moves = available_swaps(tree, {SwapKind.SAME_ROW})
+        tree = node_swap(tree, rng.choice(moves))
+    return tree
+
+
+def _incomplete_tree(rng, source):
+    """A complete tree with one codeword lengthened by a bit."""
+    words = dict(code_from_tree(_complete_tree(rng, source)).words)
+    sym = rng.choice(source.symbols)
+    words[sym] += rng.choice("01")
+    return tree_from_code(source, words)
+
+
+def _cases():
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(40):
+        source = _random_source(rng, 3 + i % 4)
+        cases.append(_complete_tree(rng, source))
+        if len(source) < 6:  # incomplete 6-symbol row classes run to 10^3+
+            cases.append(_incomplete_tree(rng, source))
+    return cases
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Truncated as exc:
+        return ("Truncated", str(exc))
+
+
+def test_cases_cover_sizes_and_incomplete_codes():
+    cases = _cases()
+    assert {len(t.source) for t in cases} == {3, 4, 5, 6}
+    assert len(cases) == 70
+    assert sum(not t.is_complete for t in cases) == 30
+
+
+def _kind_of(outcome):
+    if isinstance(outcome, ClosureResult):
+        return "truncated" if outcome.truncated else "closed"
+    if isinstance(outcome, list):
+        return "certificate" if outcome else "same"
+    return "none" if outcome is None else "cap"
+
+
+@pytest.mark.parametrize("index", range(0, 70, 10))
+def test_search_agrees_with_reference(monkeypatch, index):
+    seen = set()
+    for tree in _cases()[index:index + 10]:
+        source = tree.source
+        full, _ = reference_search(tree, set(SwapKind), 10 ** 6)
+        far = list(full)[-1]  # the last state recorded under all kinds
+        target = replay(tree, _certificate(full, far))
+        for kinds in KIND_SETS:
+            for cap in CAPS:
+                queries = [
+                    lambda: swap_closure(source, tree, kinds, cap),
+                    lambda: swap_equivalent(source, tree, target, kinds,
+                                            cap)]
+                for query in queries:
+                    got = _outcome(query)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(swaps, "_search", reference_search)
+                        assert got == _outcome(query)
+                    seen.add(_kind_of(got))
+    assert seen >= {"closed", "truncated", "certificate", "none", "cap"}
+
+
+def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
+    for source in (ex4, ex5):
+        for tree in huffman_enumerate(source):
+            for move in available_swaps(tree, set(SwapKind)):
+                assert (node_swap(tree, move).label
+                        == shape_label(swapped_shape(tree, move)))
+
+
+def _certificate(parent, label):
+    moves = []
+    label, move = parent[label]
+    while move is not None:
+        moves.append(move)
+        label, move = parent[label]
+    return moves[::-1]

@@ -10,7 +10,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.errors import NotComplete, NotInternal, SubsetCapExceeded
-from conftest import load_tree
+from conftest import fold_decoder_step, load_tree
 
 
 class TestDecoderStep:
@@ -39,6 +39,36 @@ class TestDecoderStep:
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
             decoder_step(tree, tree.root, 0)
+
+
+class TestRunStringErrors:
+    """`run_string` fails as its fold of `decoder_step` does."""
+
+    @staticmethod
+    def outcomes(tree, state, bits):
+        results = []
+        for run in (run_string, fold_decoder_step):
+            try:
+                results.append(run(tree, state, bits))
+            except (NotComplete, NotInternal) as exc:
+                results.append((type(exc), str(exc)))
+        return results
+
+    def test_leaf_state(self, ex1):
+        _, h1 = load_tree("ex1.src", "ex1_h1.code")
+        leaf = h1.leaf_id("a")
+        first, second = self.outcomes(h1, leaf, "01")
+        assert first == second == (NotInternal, "node %d is a leaf" % leaf)
+        assert self.outcomes(h1, leaf, "") == [leaf, leaf]
+
+    def test_incomplete_tree(self):
+        src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
+        tree = tree_from_code(src, {"a": "0", "b": "10"})
+        for state in (tree.root, tree.leaf_id("a")):
+            first, second = self.outcomes(tree, state, "1")
+            assert first == second
+            assert first[0] is NotComplete
+            assert self.outcomes(tree, state, "") == [state, state]
 
 
 class TestShortestSyncString:
