@@ -5,9 +5,10 @@ shorter code."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     CodeTree,
@@ -20,13 +21,10 @@ from .core import (
 )
 from .errors import (
     AlphabetMismatch,
-    AlphabetTooLarge,
     ConsistencyError,
     InvalidWitness,
 )
 from .huffman import huffman_build, is_huffman, row_sorted
-
-SUBSET_SCAN_MAX_SYMBOLS = 20
 
 
 @dataclass(frozen=True)
@@ -71,73 +69,125 @@ def is_monotone(source: Source, tree: CodeTree) -> bool:
     return True
 
 
-def _dyadic_exponent(num: int, weight_bits: int) -> Optional[int]:
-    """Exponent k with value = 2^-k, for value = num / 2^weight_bits."""
-    if num <= 0 or num & (num - 1):
-        return None
-    k = weight_bits - num.bit_length() + 1
-    return k if k >= 0 else None
+def _rows(lengths: List[int], weights: List[int]) -> List[List[int]]:
+    """rows[d]: the sorted weights of the symbols at depth d, for every
+    depth down to the deepest."""
+    rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
+    for ln, w in zip(lengths, weights):
+        rows[ln].append(w)
+    for row in rows:
+        row.sort()
+    return rows
+
+
+def _least(rows: List[List[int]], target: int) -> Optional[int]:
+    """Least total weight of a subset with Kraft sum target / 2^depth,
+    where depth = len(rows) - 1 and target <= 2^depth; None if no subset
+    has that Kraft sum.
+
+    Package-merge (Larmore and Hirschberg 1990): from the deepest row up,
+    a row whose bit is set in the target gives up its cheapest entry, and
+    the rest pair off, cheapest first, into packages for the row above.
+    """
+    depth = len(rows) - 1
+    total, carry = 0, []
+    for d in range(depth, -1, -1):
+        bits = target >> (depth - d)  # the target's bits on rows d..0
+        if not bits:
+            break
+        row = sorted(rows[d] + carry)
+        if bits & 1:
+            if not row:
+                return None
+            total += row.pop(0)
+        carry = [a + b for a, b in zip(row[::2], row[1::2])]
+    return total
+
+
+def _row_extremes(rows: List[List[int]]) -> Dict[int, int]:
+    """k -> the least total weight of a subset with Kraft sum 2^-k, for
+    every k that some subset reaches.  One package-merge pass serves all
+    k: the target 2^-k has no bit on the rows below k, so the packages
+    that reach row k are the same for every k."""
+    least, carry = {}, []
+    for d in range(len(rows) - 1, -1, -1):
+        row = sorted(rows[d] + carry)
+        if row:
+            least[d] = row[0]
+        carry = [a + b for a, b in zip(row[::2], row[1::2])]
+    return least
+
+
+def _first_subset(lengths: List[int], weights: List[int], k: int,
+                  best: int) -> Tuple[int, ...]:
+    """The lexicographically first sorted index tuple among the subsets
+    with Kraft sum 2^-k and total weight `best`, the least such weight.
+
+    Walks the indices in order and takes each time the smallest next
+    index that still has a completion of weight `best`, tested by one
+    `_least` query on the indices after it.  The walk stops once the
+    chosen prefix reaches the Kraft sum (and so weight `best`): every
+    extension has a larger Kraft sum, and a prefix precedes its
+    extensions.
+    """
+    depth = max(lengths)
+    rows = _rows(lengths, weights)  # the indices not yet passed
+    chosen: List[int] = []
+    kraft_left, weight_left = 1 << (depth - k), best
+    c = 0
+    while kraft_left:
+        for c in range(c, len(lengths)):
+            row = rows[lengths[c]]
+            del row[bisect_left(row, weights[c])]
+            kraft_c = 1 << (depth - lengths[c])
+            if kraft_c > kraft_left:
+                continue
+            rest = _least(rows, kraft_left - kraft_c)
+            if rest is not None and rest + weights[c] == weight_left:
+                break
+        else:
+            raise ConsistencyError(
+                "no subset reaches the package-merge extreme %d at "
+                "exponent %d" % (best, k))
+        chosen.append(c)
+        kraft_left -= kraft_c
+        weight_left -= weights[c]
+        c += 1
+    return tuple(chosen)
 
 
 def strong_monotonicity_check(source: Source, code: PrefixCode
                               ) -> Optional[MonotonicityWitness]:
-    """Scan all symbol subsets for a strong-monotonicity violation.
+    """Find a strong-monotonicity violation in polynomial time.
 
-    Groups subsets by the exponent k of their (power-of-two) Kraft sum
-    and compares per-exponent probability extremes, so the doubly
-    quantified definition costs O(2^n) rather than O(4^n).  Returns the
-    deterministic lexicographically-first witness at the first violating
-    exponent pair, or None if the code is strongly monotone.
+    The code is strongly monotone iff, for all exponents i < j that
+    Kraft sums of symbol subsets reach, the least P(A) with K(A) = 2^-i
+    is at least the greatest P(B) with K(B) = 2^-j.  Kraft terms are
+    powers of two, so each extreme is a Coin Collector's problem, and
+    one package-merge pass per sign finds them for every exponent.  At
+    the first violating (i, j), in increasing i then j, the witness sets
+    are the lexicographically first sorted index tuples that reach the
+    two extremes.  Returns None if the code is strongly monotone.
+    `oracle.strong_monotonicity_scan` is the 2^n subset scan that this
+    answer, witness included, must match.
     """
     symbols = source.symbols
-    n = len(symbols)
-    if n > SUBSET_SCAN_MAX_SYMBOLS:
-        raise AlphabetTooLarge("subset scan supports at most %d symbols"
-                               % SUBSET_SCAN_MAX_SYMBOLS)
     lengths = [len(code.word(s)) for s in symbols]
-    weight_bits = max(lengths)
-    kraft_w = [1 << (weight_bits - l) for l in lengths]
-    prob_w = source.weights  # probabilities as integers over source.den
-
-    size = 1 << n
-    ksum = [0] * size
-    psum = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        idx = low.bit_length() - 1
-        ksum[mask] = ksum[rest] + kraft_w[idx]
-        psum[mask] = psum[rest] + prob_w[idx]
-
-    def subset_key(mask: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(n) if mask >> i & 1)
-
-    min_p: Dict[int, Tuple[int, int]] = {}  # exponent -> (psum, mask)
-    max_p: Dict[int, Tuple[int, int]] = {}
-    for mask in range(1, size):
-        k = _dyadic_exponent(ksum[mask], weight_bits)
-        if k is None:
-            continue
-        cur = min_p.get(k)
-        if (cur is None or psum[mask] < cur[0]
-                or (psum[mask] == cur[0]
-                    and subset_key(mask) < subset_key(cur[1]))):
-            min_p[k] = (psum[mask], mask)
-        cur = max_p.get(k)
-        if (cur is None or psum[mask] > cur[0]
-                or (psum[mask] == cur[0]
-                    and subset_key(mask) < subset_key(cur[1]))):
-            max_p[k] = (psum[mask], mask)
-
-    exponents = sorted(min_p)
+    weights = list(source.weights)  # probabilities as integers over den
+    rows = _rows(lengths, weights)
+    lo = _row_extremes(rows)
+    # the greatest weights, as the least of the negated ones
+    neg_hi = _row_extremes([[-w for w in reversed(row)] for row in rows])
+    exponents = sorted(lo)
     for a, i in enumerate(exponents):
-        for j in exponents[a + 1:]:
-            if min_p[i][0] < max_p[j][0]:
-                amask, bmask = min_p[i][1], max_p[j][1]
-                return MonotonicityWitness(
-                    A=tuple(symbols[t] for t in subset_key(amask)),
-                    B=tuple(symbols[t] for t in subset_key(bmask)),
-                    i=i, j=j)
+        j = next((j for j in exponents[a + 1:] if -neg_hi[j] > lo[i]),
+                 None)
+        if j is not None:
+            A = _first_subset(lengths, weights, i, lo[i])
+            B = _first_subset(lengths, [-w for w in weights], j, neg_hi[j])
+            return MonotonicityWitness(A=tuple(symbols[t] for t in A),
+                                       B=tuple(symbols[t] for t in B),
+                                       i=i, j=j)
     return None
 
 

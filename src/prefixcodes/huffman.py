@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .core import CodeTree, Shape, Source, code_from_tree, shape_label
@@ -87,19 +90,26 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
 
     def successors(state):
         # state: tuple of (label, weight, shape), sorted by label
-        weights = sorted(w for _, w, _ in state)
-        smallest_two = (weights[0], weights[1])
-        for i in range(len(state)):
-            for j in range(i + 1, len(state)):
-                wi, wj = state[i][1], state[j][1]
-                if (min(wi, wj), max(wi, wj)) != smallest_two:
-                    continue
-                rest = state[:i] + state[i + 1:j] + state[j + 1:]
-                for left, right in ((state[i], state[j]),
-                                    (state[j], state[i])):
-                    merged = ("(%s,%s)" % (left[0], right[0]), wi + wj,
-                              (left[2], right[2]))
-                    yield tuple(sorted(rest + (merged,), key=lambda t: t[0]))
+        least = second = None  # the two least weights, in one pass
+        for _, w, _ in state:
+            if least is None or w < least:
+                least, second = w, least
+            elif second is None or w < second:
+                second = w
+        lows = [i for i, t in enumerate(state) if t[1] == least]
+        if least == second:
+            pairs = combinations(lows, 2)
+        else:  # the one least node with each second-least node, i < j
+            pairs = (sorted((lows[0], j)) for j, t in enumerate(state)
+                     if t[1] == second)
+        for i, j in pairs:
+            for left, right in ((state[i], state[j]), (state[j], state[i])):
+                merged = ("(%s,%s)" % (left[0], right[0]),
+                          least + second, (left[2], right[2]))
+                nxt = list(state)
+                del nxt[j], nxt[i]
+                insort(nxt, merged, key=itemgetter(0))
+                yield tuple(nxt)
 
     def fold(out, trees) -> None:
         out.update(trees)

@@ -12,6 +12,7 @@ from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .analysis import (
+    MonotonicityWitness,
     is_monotone,
     strong_monotonicity_check,
 )
@@ -36,6 +37,7 @@ from .swaps import SwapKind, swap_closure
 
 ENUMERATION_MAX_SYMBOLS = 7
 VERIFY_MAX_SYMBOLS = 6
+SUBSET_SCAN_MAX_SYMBOLS = 20
 
 _SLOT = "?"  # leaf placeholder inside shape templates
 
@@ -141,6 +143,67 @@ def _fill_labels(source: Source, fills: List[_Fill]) -> Set[str]:
             for t, perm in fills}
 
 
+def strong_monotonicity_scan(source: Source, code: PrefixCode
+                             ) -> Optional[MonotonicityWitness]:
+    """`analysis.strong_monotonicity_check` by scanning all 2^n subsets.
+
+    Groups subsets by the exponent k of their (power-of-two) Kraft sum
+    and keeps each exponent's probability extremes, so the doubly
+    quantified definition costs O(2^n) rather than O(4^n).  Returns the
+    lexicographically first witness (by sorted index tuple) at the first
+    violating exponent pair, or None if the code is strongly monotone.
+    """
+    _guard(source, SUBSET_SCAN_MAX_SYMBOLS)
+    symbols = source.symbols
+    n = len(symbols)
+    lengths = [len(code.word(s)) for s in symbols]
+    weight_bits = max(lengths)
+    kraft_w = [1 << (weight_bits - l) for l in lengths]
+    prob_w = source.weights  # probabilities as integers over source.den
+
+    size = 1 << n
+    ksum = [0] * size
+    psum = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        idx = low.bit_length() - 1
+        ksum[mask] = ksum[rest] + kraft_w[idx]
+        psum[mask] = psum[rest] + prob_w[idx]
+
+    def subset_key(mask: int) -> Tuple[int, ...]:
+        return tuple(i for i in range(n) if mask >> i & 1)
+
+    min_p: Dict[int, Tuple[int, int]] = {}  # exponent -> (psum, mask)
+    max_p: Dict[int, Tuple[int, int]] = {}
+    for mask in range(1, size):
+        num = ksum[mask]
+        if num & (num - 1):
+            continue  # not a power of two
+        k = weight_bits - num.bit_length() + 1  # ksum = 2^-k
+        cur = min_p.get(k)
+        if (cur is None or psum[mask] < cur[0]
+                or (psum[mask] == cur[0]
+                    and subset_key(mask) < subset_key(cur[1]))):
+            min_p[k] = (psum[mask], mask)
+        cur = max_p.get(k)
+        if (cur is None or psum[mask] > cur[0]
+                or (psum[mask] == cur[0]
+                    and subset_key(mask) < subset_key(cur[1]))):
+            max_p[k] = (psum[mask], mask)
+
+    exponents = sorted(min_p)
+    for a, i in enumerate(exponents):
+        for j in exponents[a + 1:]:
+            if min_p[i][0] < max_p[j][0]:
+                amask, bmask = min_p[i][1], max_p[j][1]
+                return MonotonicityWitness(
+                    A=tuple(symbols[t] for t in subset_key(amask)),
+                    B=tuple(symbols[t] for t in subset_key(bmask)),
+                    i=i, j=j)
+    return None
+
+
 @dataclass
 class TheoremCheck:
     name: str
@@ -189,17 +252,19 @@ def verify_theorems(source: Source) -> VerificationReport:
         "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
 
     # Per-length-assignment verdicts are shared by all trees that induce
-    # the same codeword lengths, so memoize on the assignment.
-    sm_by_lengths: Dict[Tuple[int, ...], bool] = {}
+    # the same codeword lengths, so memoize on the assignment.  None
+    # marks an assignment where package-merge and the subset scan differ
+    # (verdict or witness); it equals no verdict, so it fails the check.
+    sm_by_lengths: Dict[Tuple[int, ...], Optional[bool]] = {}
 
-    def strongly_monotone(tree: CodeTree) -> bool:
+    def strongly_monotone(tree: CodeTree) -> Optional[bool]:
         key = _lengths_key(tree)
-        verdict = sm_by_lengths.get(key)
-        if verdict is None:
+        if key not in sm_by_lengths:
             code = code_from_tree(tree)
-            verdict = strong_monotonicity_check(source, code) is None
-            sm_by_lengths[key] = verdict
-        return verdict
+            witness = strong_monotonicity_check(source, code)
+            agree = witness == strong_monotonicity_scan(source, code)
+            sm_by_lengths[key] = (witness is None) if agree else None
+        return sm_by_lengths[key]
 
     equivalence_bad: List[str] = []
     sibling_bad: List[str] = []

@@ -26,7 +26,6 @@ from prefixcodes import (
 )
 from prefixcodes.cli import main
 from prefixcodes.errors import (
-    AlphabetTooLarge,
     ConsistencyError,
     InvalidWitness,
 )
@@ -84,14 +83,6 @@ class TestStrongMonotonicity:
         src = Source([("x", Fraction(1, 3)), ("y", Fraction(2, 3))])
         assert strong_monotonicity_check(
             src, PrefixCode({"x": "0", "y": "1"})) is None
-
-    def test_guard(self):
-        n = 21
-        src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
-        code = PrefixCode({"s%d" % i: format(i, "b").rjust(5, "0")
-                           for i in range(n)})
-        with pytest.raises(AlphabetTooLarge):
-            strong_monotonicity_check(src, code)
 
 
 class TestIsOptimal:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,63 @@ from prefixcodes import (
     sibling_property_exhaustive,
     tree_from_code,
 )
+from prefixcodes.core import shape_label
 from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from conftest import load_code, load_tree
 
 ALL_POLICIES = [TiePolicy(sel, order)
                 for sel in Selector for order in ChildOrder]
+
+
+def enumerate_by_resorting(source, cap):
+    """Labels of `huffman_enumerate`, or its CapExceeded message, from the
+    same depth-first search with the plain successor step: every pair of
+    nodes is tested against the re-sorted weights, and every successor
+    state is re-sorted by label."""
+    memo = {}
+
+    def successors(state):
+        weights = sorted(w for _, w, _ in state)
+        for i in range(len(state)):
+            for j in range(i + 1, len(state)):
+                wi, wj = state[i][1], state[j][1]
+                if sorted((wi, wj)) != weights[:2]:
+                    continue
+                rest = state[:i] + state[i + 1:j] + state[j + 1:]
+                for left, right in ((state[i], state[j]),
+                                    (state[j], state[i])):
+                    merged = ("(%s,%s)" % (left[0], right[0]), wi + wj,
+                              (left[2], right[2]))
+                    yield tuple(sorted(rest + (merged,),
+                                       key=lambda t: t[0]))
+
+    def fold(out, trees):
+        out.update(trees)
+        if len(out) > cap:
+            raise CapExceeded("at least %d distinct Huffman trees exceed "
+                              "cap %d" % (len(out), cap))
+
+    start = tuple(sorted(zip(source.symbols, source.weights,
+                             source.symbols)))
+    stack = [(start, successors(start), set())]
+    try:
+        while stack:
+            state, todo, out = stack[-1]
+            for nxt in todo:
+                key = tuple(t[0] for t in nxt)
+                trees = (nxt[0][2],) if len(nxt) == 1 else memo.get(key)
+                if trees is None:
+                    stack.append((nxt, successors(nxt), set()))
+                    break
+                fold(out, trees)
+            else:
+                stack.pop()
+                trees = memo[tuple(t[0] for t in state)] = frozenset(out)
+                if stack:
+                    fold(stack[-1][2], trees)
+    except CapExceeded as exc:
+        return str(exc)
+    return sorted(map(shape_label, trees))
 
 
 class TestBuild:
@@ -87,6 +140,21 @@ class TestEnumerate:
         with pytest.raises(CapExceeded, match=r"^at least \d+ distinct "
                            r"Huffman trees exceed cap 100000$"):
             huffman_enumerate(src)
+
+    @pytest.mark.parametrize("cap", [1, 3, 16, 100, 100_000])
+    def test_matches_resorting_successor_step(self, cap):
+        # tied sources: the same trees in the same order, and the cap
+        # trips at the same point of the search
+        rng = random.Random(cap)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            src = Source.from_weights(
+                ("s%d" % i, rng.randint(1, 3)) for i in range(n))
+            try:
+                got = [t.label for t in huffman_enumerate(src, cap)]
+            except CapExceeded as exc:
+                got = str(exc)
+            assert got == enumerate_by_resorting(src, cap), src.weights
 
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):

@@ -3,19 +3,24 @@ from fractions import Fraction
 import pytest
 
 from prefixcodes import (
+    MonotonicityWitness,
+    PrefixCode,
     Source,
     SwapKind,
     builtin_corpus,
     enumerate_complete_trees,
     min_expected_length,
     optimal_set,
+    strong_monotonicity_check,
     swap_closure,
     tree_from_code,
     verify_theorems,
 )
+from prefixcodes import oracle
 from prefixcodes.errors import AlphabetTooLarge
-from prefixcodes.oracle import _tree_for_label, catalan
-from conftest import load_tree
+from prefixcodes.oracle import (_tree_for_label, catalan,
+                                strong_monotonicity_scan)
+from conftest import load_code, load_tree
 
 
 class TestEnumeration:
@@ -82,6 +87,20 @@ class TestOptimalSet:
         assert {2, 4} <= depths
 
 
+class TestStrongMonotonicityScan:
+    def test_ex3_c_witness(self, ex3):
+        w = strong_monotonicity_scan(ex3, load_code("ex3_c.code"))
+        assert w == MonotonicityWitness(A=("c", "d"), B=("a",), i=1, j=2)
+
+    def test_guard(self):
+        n = 21
+        src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
+        code = PrefixCode({"s%d" % i: format(i, "b").rjust(5, "0")
+                           for i in range(n)})
+        with pytest.raises(AlphabetTooLarge):
+            strong_monotonicity_scan(src, code)
+
+
 class TestVerifyTheorems:
     @pytest.mark.parametrize("name", ["dyadic4", "tied4", "thirds4"])
     def test_corpus_small(self, name):
@@ -110,6 +129,19 @@ class TestVerifyTheorems:
         src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
         with pytest.raises(AlphabetTooLarge):
             verify_theorems(src)
+
+    def test_flags_a_witness_that_differs_from_the_scan(self, ex3,
+                                                          monkeypatch):
+        # same verdicts as the scan, but a witness with A and B exchanged
+        def swapped(source, code):
+            w = strong_monotonicity_check(source, code)
+            return w and MonotonicityWitness(A=w.B, B=w.A, i=w.i, j=w.j)
+
+        monkeypatch.setattr(oracle, "strong_monotonicity_check", swapped)
+        checks = {c.name: c.passed for c in verify_theorems(ex3).checks}
+        assert not checks[
+            "optimal-iff-strongly-monotone-iff-length-equivalent"]
+        assert sum(checks.values()) == len(checks) - 1
 
 
 class TestBuiltinCorpus:
