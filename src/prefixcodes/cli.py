@@ -44,6 +44,7 @@ from .errors import (
     Truncated,
 )
 from .huffman import (
+    DEFAULT_ENUMERATE_CAP,
     ChildOrder,
     Selector,
     TiePolicy,
@@ -69,8 +70,7 @@ EXIT_INTERNAL = 4
 
 
 def parse_source_text(text: str) -> Source:
-    entries = []
-    weights_only = True
+    entries = []  # (symbol, value, whether the value is an integer weight)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,16 +83,13 @@ def parse_source_text(text: str) -> Source:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError("line %d: bad value %r" % (lineno, value)) from None
-        if "/" in value or frac.denominator != 1:
-            weights_only = False
-        entries.append((sym, frac))
+        entries.append((sym, frac, "/" not in value and frac.denominator == 1))
     if not entries:
         raise ParseError("empty source file")
     try:
-        if weights_only:
-            return Source.from_weights(
-                (sym, int(frac)) for sym, frac in entries)
-        return Source(entries)
+        if all(weight for _, _, weight in entries):
+            return Source.from_weights((s, f.numerator) for s, f, _ in entries)
+        return Source((s, f) for s, f, _ in entries)
     except CodeError as exc:
         raise ParseError(str(exc)) from None
 
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "last-left", "last-right"])
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATE_CAP)
     p.set_defaults(func=cmd_huffman)
 
     p = sub.add_parser("check", help="property report for a code")

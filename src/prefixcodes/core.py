@@ -2,10 +2,10 @@
 
 Nothing in this package ever rounds.  A `Source` scales its rational
 probabilities once, to integer weights over one common denominator
-`Source.den`; everything below it (tree nodes, Huffman merges, swap and
-sibling checks, subset scans, the brute-force oracle) adds and compares
-those integers, and `fractions.Fraction` values appear only where a
-probability or expected length is handed back to the caller.
+`Source.den`, and keeps only those; tree nodes, swap and sibling checks,
+subset scans and the brute-force oracle add and compare the integers,
+and `fractions.Fraction` values appear where a probability or expected
+length is handed back to the caller and in the merges of `huffman_build`.
 
 A code tree is given as a nested "shape" (leaf = symbol string,
 internal node = pair of child shapes, a missing child = None) and is
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     AlphabetMismatch,
@@ -40,36 +40,14 @@ Shape = Union[str, Tuple[Optional["Shape"], Optional["Shape"]]]
 
 
 class Source:
-    """An ordered alphabet with strictly positive probabilities summing to 1."""
+    """An ordered alphabet with strictly positive probabilities summing to 1,
+    each held once, as an integer weight over the common denominator `den`."""
 
     def __init__(self, entries: Iterable[Tuple[str, Fraction]]):
         pairs = [(sym, Fraction(prob)) for sym, prob in entries]
-        if len(pairs) < 2:
-            raise InvalidSource("a source needs at least 2 symbols")
-        seen = set()
-        for sym, prob in pairs:
-            if not isinstance(sym, str) or not sym:
-                raise InvalidSource("symbols must be nonempty strings")
-            if _FORBIDDEN_IN_SYMBOLS & set(sym):
-                raise InvalidSource(
-                    "symbol %r contains a reserved character" % sym)
-            if sym in seen:
-                raise DuplicateSymbol(sym)
-            seen.add(sym)
-            if prob <= 0:
-                raise InvalidSource("probability of %r is not positive" % sym)
-        total = sum(p for _, p in pairs)
-        if total != 1:
-            raise InvalidSource("probabilities sum to %s, expected 1" % total)
-        self.entries: Tuple[Tuple[str, Fraction], ...] = tuple(pairs)
-        self.symbols: Tuple[str, ...] = tuple(s for s, _ in pairs)
-        self._prob = dict(pairs)
-        # prob(s) == Fraction(weight_of[s], den) for every symbol s
-        self.den: int = lcm(*(p.denominator for _, p in pairs))
-        self.weights: Tuple[int, ...] = tuple(
-            p.numerator * (self.den // p.denominator) for _, p in pairs)
-        self.weight_of: Dict[str, int] = dict(zip(self.symbols, self.weights))
-        self._index = {s: i for i, s in enumerate(self.symbols)}
+        den = lcm(*(p.denominator for _, p in pairs))
+        self._store([(sym, p.numerator * (den // p.denominator))
+                     for sym, p in pairs], den)
 
     @classmethod
     def from_weights(cls, entries: Iterable[Tuple[str, int]]) -> "Source":
@@ -78,19 +56,49 @@ class Source:
         total = sum(w for _, w in pairs)
         if total <= 0:
             raise InvalidSource("weights must be positive")
-        return cls((sym, Fraction(w, total)) for sym, w in pairs)
+        common = gcd(total, *(w for _, w in pairs))  # least `den`, as Fraction
+        source = cls.__new__(cls)
+        source._store([(sym, w // common) for sym, w in pairs],
+                      total // common)
+        return source
+
+    def _store(self, pairs: List[Tuple[str, int]], den: int) -> None:
+        """Check and keep integer weights whose probabilities are w / den."""
+        if len(pairs) < 2:
+            raise InvalidSource("a source needs at least 2 symbols")
+        seen = set()
+        for sym, weight in pairs:
+            if not isinstance(sym, str) or not sym:
+                raise InvalidSource("symbols must be nonempty strings")
+            if _FORBIDDEN_IN_SYMBOLS & set(sym):
+                raise InvalidSource(
+                    "symbol %r contains a reserved character" % sym)
+            if sym in seen:
+                raise DuplicateSymbol(sym)
+            seen.add(sym)
+            if weight <= 0:
+                raise InvalidSource("probability of %r is not positive" % sym)
+        total = sum(w for _, w in pairs)
+        if total != den:
+            raise InvalidSource("probabilities sum to %s, expected 1"
+                                % Fraction(total, den))
+        self.symbols: Tuple[str, ...] = tuple(s for s, _ in pairs)
+        self.weights: Tuple[int, ...] = tuple(w for _, w in pairs)
+        self.den: int = den
+        self.weight_of: Dict[str, int] = dict(pairs)
+        self._index = {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.symbols)
 
     def prob(self, symbol: str) -> Fraction:
-        try:
-            return self._prob[symbol]
-        except KeyError:
-            raise UnknownSymbol(symbol) from None
+        return self.prob_of((symbol,))
 
     def prob_of(self, symbols: Iterable[str]) -> Fraction:
-        return sum((self.prob(s) for s in symbols), Fraction(0))
+        try:
+            return Fraction(sum(self.weight_of[s] for s in symbols), self.den)
+        except KeyError as exc:
+            raise UnknownSymbol(exc.args[0]) from None
 
     def index(self, symbol: str) -> int:
         try:
@@ -98,14 +106,16 @@ class Source:
         except KeyError:
             raise UnknownSymbol(symbol) from None
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Source) and self.entries == other.entries
+    def __eq__(self, other) -> bool:  # the weights sum to `den`
+        return (isinstance(other, Source) and self.symbols == other.symbols
+                and self.weights == other.weights)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.symbols, self.weights))
 
     def __repr__(self) -> str:
-        body = ", ".join("%s:%s" % (s, p) for s, p in self.entries)
+        body = ", ".join("%s:%s" % (s, Fraction(w, self.den))
+                         for s, w in zip(self.symbols, self.weights))
         return "Source(%s)" % body
 
 

@@ -7,9 +7,9 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
-from .core import CodeTree, Shape, Source, code_from_tree, shape_label
+from .core import CodeTree, Source, shape_label
 from .errors import CapExceeded, NotComplete, NotOptimal
 
 DEFAULT_ENUMERATE_CAP = 100_000
@@ -46,8 +46,7 @@ class SiblingListing:
 def huffman_build(source: Source, policy: TiePolicy = DEFAULT_POLICY
                   ) -> CodeTree:
     """One deterministic run of the merge loop under a tie policy."""
-    items = [(prob, shape) for shape, prob in
-             ((sym, prob) for sym, prob in source.entries)]
+    items = [(source.prob(sym), sym) for sym in source.symbols]
 
     def pick_min(pool):
         best = None
@@ -83,10 +82,6 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     """
     start = tuple(sorted(zip(source.symbols, source.weights, source.symbols),
                          key=lambda t: t[0]))
-    memo: Dict[Tuple[str, ...], FrozenSet[Shape]] = {}
-
-    def key(state) -> Tuple[str, ...]:
-        return tuple(lbl for lbl, _, _ in state)
 
     def successors(state):
         # state: tuple of (label, weight, shape), sorted by label
@@ -111,31 +106,22 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                 insort(nxt, merged, key=itemgetter(0))
                 yield tuple(nxt)
 
-    def fold(out, trees) -> None:
-        out.update(trees)
-        # every memoised set is a subset of the final result
-        if len(out) > cap:
-            raise CapExceeded(
-                "at least %d distinct Huffman trees exceed cap %d"
-                % (len(out), cap))
-
-    # depth-first over merge states: (state, unvisited successors, trees)
-    stack = [(start, successors(start), set())]
+    # no shape repeats: states expand once; a shape's root pair fixes its state
+    seen = set()  # label keys of pushed states; `start` is no one's successor
+    stack = [start]
+    shapes = []
     while stack:
-        state, todo, out = stack[-1]
-        for nxt in todo:
-            trees = (nxt[0][2],) if len(nxt) == 1 else memo.get(key(nxt))
-            if trees is None:  # expand nxt; its frame folds into this one
-                stack.append((nxt, successors(nxt), set()))
-                break
-            fold(out, trees)
-        else:
-            stack.pop()
-            trees = memo[key(state)] = frozenset(out)
-            if stack:
-                fold(stack[-1][2], trees)
-    ordered = sorted(trees, key=shape_label)
-    return tuple(CodeTree(source, s) for s in ordered)
+        for nxt in successors(stack.pop()):
+            if len(nxt) == 1:
+                shapes.append(nxt[0][2])
+                if len(shapes) > cap:
+                    raise CapExceeded(
+                        "at least %d distinct Huffman trees exceed cap %d"
+                        % (len(shapes), cap))
+            elif (k := tuple(lbl for lbl, _, _ in nxt)) not in seen:
+                seen.add(k)
+                stack.append(nxt)
+    return tuple(CodeTree(source, s) for s in sorted(shapes, key=shape_label))
 
 
 def _sibling_pairs(tree: CodeTree):
@@ -230,10 +216,8 @@ def row_sorted(source: Source, tree: CodeTree) -> CodeTree:
 
 def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
     """Row-permute an optimal tree into a length-equivalent Huffman tree."""
-    from .analysis import is_optimal  # local import to avoid a cycle
-
     if not tree.is_complete:
         raise NotComplete("huffmanize requires a complete tree")
-    if not is_optimal(source, code_from_tree(tree)):
+    if tree.expected_length() != huffman_build(source).expected_length():
         raise NotOptimal("huffmanize requires an optimal code")
     return row_sorted(source, tree)

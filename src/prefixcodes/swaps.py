@@ -147,6 +147,8 @@ def move_from_text(tree: CodeTree, text: str) -> SwapMove:
     try:
         kind = SwapKind(parts[0])
         ru, iu, rv, iv = (int(p) for p in parts[1:])
+        if min(ru, iu, rv, iv) < 0:
+            raise ValueError("negative row or index")
         rows = tree.rows()
         u, v = rows[ru][iu], rows[rv][iv]
     except (ValueError, IndexError) as exc:

@@ -34,6 +34,8 @@ def decoder_step(tree: CodeTree, state: int, bit: int) -> int:
     node = tree.node(state)
     if node.is_leaf:
         raise NotInternal("node %d is a leaf" % state)
+    if bit not in (0, 1):
+        raise ValueError("bit must be 0 or 1, not %r" % bit)
     child = node.left if bit == 0 else node.right
     return tree.root if tree.node(child).is_leaf else child
 

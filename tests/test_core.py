@@ -39,6 +39,34 @@ class TestSource:
         src = Source.from_weights([("x", 3), ("y", 1)])
         assert src.prob("x") == Fraction(3, 4)
 
+    @pytest.mark.parametrize("weights", [(3, 1), (2, 4, 6), (5, 5),
+                                         (6, 10, 14), (7, 2, 1)])
+    def test_from_weights_matches_reduced_fractions(self, weights):
+        # weights with a common factor reduce as their Fractions do
+        pairs = [("s%d" % i, w) for i, w in enumerate(weights)]
+        total = sum(weights)
+        by_weight = Source.from_weights(pairs)
+        by_prob = Source((s, Fraction(w, total)) for s, w in pairs)
+        assert by_weight == by_prob
+        assert hash(by_weight) == hash(by_prob)
+        assert repr(by_weight) == repr(by_prob)
+        assert by_weight.den == by_prob.den
+        assert by_weight.weights == by_prob.weights
+        assert [by_weight.prob(s) for s, _ in pairs] == [
+            Fraction(w, total) for w in weights]
+
+    def test_error_messages(self):
+        with pytest.raises(InvalidSource, match=r"^probabilities sum to "
+                           r"3/4, expected 1$"):
+            Source([("x", Fraction(1, 2)), ("y", Fraction(1, 4))])
+        for make in (lambda: Source([("x", 0), ("y", 1)]),
+                     lambda: Source.from_weights([("x", 0), ("y", 1)])):
+            with pytest.raises(InvalidSource, match=r"^probability of 'x' "
+                               r"is not positive$"):
+                make()
+        with pytest.raises(InvalidSource, match="^weights must be positive$"):
+            Source.from_weights([("x", 0), ("y", 0)])
+
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidSource):
             Source([("x", Fraction(1, 2)), ("y", Fraction(1, 4))])

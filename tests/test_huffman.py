@@ -28,10 +28,10 @@ ALL_POLICIES = [TiePolicy(sel, order)
 
 
 def enumerate_by_resorting(source, cap):
-    """Labels of `huffman_enumerate`, or its CapExceeded message, from the
-    same depth-first search with the plain successor step: every pair of
-    nodes is tested against the re-sorted weights, and every successor
-    state is re-sorted by label."""
+    """Sorted labels of every Huffman tree, or a CapExceeded message, from
+    a depth-first search that memoises each state's set of trees and uses
+    the plain successor step: every pair of nodes is tested against the
+    re-sorted weights, and every successor state is re-sorted by label."""
     memo = {}
 
     def successors(state):
@@ -143,18 +143,24 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("cap", [1, 3, 16, 100, 100_000])
     def test_matches_resorting_successor_step(self, cap):
-        # tied sources: the same trees in the same order, and the cap
-        # trips at the same point of the search
+        # tied sources: the same distinct trees in the same order, and
+        # the cap trips on the same sources, as soon as it is passed
         rng = random.Random(cap)
         for _ in range(40):
             n = rng.randint(2, 7)
             src = Source.from_weights(
                 ("s%d" % i, rng.randint(1, 3)) for i in range(n))
-            try:
-                got = [t.label for t in huffman_enumerate(src, cap)]
-            except CapExceeded as exc:
-                got = str(exc)
-            assert got == enumerate_by_resorting(src, cap), src.weights
+            want = enumerate_by_resorting(src, cap)
+            if isinstance(want, str):
+                with pytest.raises(CapExceeded) as info:
+                    huffman_enumerate(src, cap)
+                assert str(info.value) == (
+                    "at least %d distinct Huffman trees exceed cap %d"
+                    % (cap + 1, cap)), src.weights
+                continue
+            got = [t.label for t in huffman_enumerate(src, cap)]
+            assert len(set(got)) == len(got), src.weights
+            assert got == want, src.weights
 
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):

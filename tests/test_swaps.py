@@ -18,7 +18,12 @@ from prefixcodes import (
     swap_equivalent,
     tree_from_code,
 )
-from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
+from prefixcodes.errors import (
+    AncestryViolation,
+    KindViolation,
+    ParseError,
+    Truncated,
+)
 from conftest import load_tree, swapped_code
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
@@ -237,6 +242,13 @@ class TestSwapEquivalent:
                 min(move.u, move.v), max(move.u, move.v), move.kind)
             current = node_swap(current, move)
         assert current.label == h2.label
+
+    def test_move_text_rejects_negative_numbers(self, ex4):
+        # Python indexing would resolve -1 from the end of a row
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        for text in ("row -1 -1 -1 -2", "row 2 0 -2 1", "prob 1 -1 2 0"):
+            with pytest.raises(ParseError, match="negative"):
+                move_from_text(h1, text)
 
     def test_cap_shared_with_closure(self, ex4):
         # h2 is first reached from the 7th recorded tree, so a cap of 7

@@ -34,6 +34,14 @@ class TestDecoderStep:
         with pytest.raises(NotInternal):
             decoder_step(h1, h1.leaf_id("a"), 0)
 
+    def test_rejects_bits_other_than_0_and_1(self, ex1):
+        _, h1 = load_tree("ex1.src", "ex1_h1.code")
+        for bit in (2, -1):
+            with pytest.raises(ValueError, match="bit must be 0 or 1"):
+                decoder_step(h1, h1.root, bit)
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            run_string(h1, h1.root, "2")
+
     def test_rejects_incomplete_tree(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
         tree = tree_from_code(src, {"a": "0", "b": "10"})
