@@ -18,7 +18,8 @@ class PrefixViolation(CodeError):
 
 
 class AlphabetMismatch(CodeError):
-    """A code or length map does not cover exactly the source alphabet."""
+    """A code, length map or tree is not over the given source (its alphabet
+    or weights)."""
 
 
 class KraftExceeded(CodeError):

@@ -3,7 +3,6 @@ small source and cross-check every characterization against it."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -368,19 +367,6 @@ def verify_theorems(source: Source) -> VerificationReport:
         detail or ("closures verified" if row_class_checked
                    else "profile comparison only (n > 5)")))
     return report
-
-
-def _tree_for_label(source: Source, label: str) -> CodeTree:
-    """Rebuild a CodeTree from a canonical label of a complete tree."""
-    stack: List[Shape] = []
-    for token in re.findall(r"[(),]|[^(),]+", label):
-        if token == ")":
-            right = stack.pop()
-            stack.append((stack.pop(), right))
-        elif token not in ("(", ","):
-            stack.append(token)
-    (shape,) = stack
-    return CodeTree(source, shape)
 
 
 def builtin_corpus() -> List[Tuple[str, Source]]:

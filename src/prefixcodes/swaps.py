@@ -3,11 +3,14 @@
 A swap exchanges the subtrees rooted at two nodes, neither an ancestor
 of the other.  `available_swaps` lists each such pair once, tagged with
 the first of parent, row, prob that applies.  `swap_closure` and
-`swap_equivalent` share one breadth-first search over canonical labels:
-a neighbour is recorded only while fewer than `cap` labels are (the
-target of an equivalence search always is), and a search that skips a
-neighbour for the cap is truncated.  Certificate moves are serialized as
-(row, index-in-row) pairs, stable because node ids are breadth-first.
+`swap_equivalent` share one breadth-first search over interned tree
+shapes (equal shapes are one object, so no nested tuple is compared,
+which in C recurses once per level): a neighbour is recorded only while
+fewer than `cap` shapes are (the target of an equivalence search always
+is), and a search that skips a neighbour for the cap is truncated.
+Only `swap_closure` renders labels, one per recorded shape.  Certificate
+moves are serialized as (row, index-in-row) pairs, stable because node
+ids are breadth-first.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import CodeTree, Shape, Source, shape_label
-from .errors import AncestryViolation, KindViolation, ParseError, Truncated
+from .errors import (AlphabetMismatch, AncestryViolation, KindViolation,
+                     ParseError, Truncated)
 
 DEFAULT_CLOSURE_CAP = 200_000
 
@@ -37,8 +41,12 @@ class SwapMove:
     kind: SwapKind
 
 
-# label -> (predecessor label, move from it); the start maps to (None, None)
-_Parents = Dict[str, Tuple[Optional[str], Optional[SwapMove]]]
+# id(shape) -> (shape, id of the previous shape, move from it)
+_Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
+# symbol -> itself, (id(left), id(right)) -> the one shape of those
+# children, which it keeps alive, so no keyed id is reused
+_Table = Dict[object, Shape]
+_Intern = Callable[[Tuple[int, int], Shape], Shape]  # _Table.get or setdefault
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,15 @@ def _check_kind(tree: CodeTree, move: SwapMove) -> None:
                                 % (move.u, move.v))
 
 
-def swapped_shape(tree: CodeTree, move: SwapMove) -> Shape:
-    """The shape of the tree after one checked swap; builds no tree."""
+def swapped_shape(tree: CodeTree, move: SwapMove,
+                  intern: Optional[_Intern] = None) -> Shape:
+    """The shape of the tree after one checked swap; builds no tree.
+
+    Given `intern`, each rebuilt shape is replaced by
+    `intern((id(left), id(right)), shape)`: the `get` of a table holding
+    `tree`'s shapes puts in the equal shapes it holds, and its
+    `setdefault` also enters the others.
+    """
     if move.u == move.v:
         raise AncestryViolation("cannot swap a node with itself")
     if not (0 <= move.u < len(tree.nodes) and 0 <= move.v < len(tree.nodes)):
@@ -93,12 +108,31 @@ def swapped_shape(tree: CodeTree, move: SwapMove) -> Shape:
         pending[parent.id] = ((shape, right) if parent.left == nid
                               else (left, shape))
         nid = max(pending)
+        if intern is not None and nid != move.u and nid != move.v:
+            left, right = pending[nid]  # rebuilt, and final
+            pending[nid] = intern((id(left), id(right)), pending[nid])
     return pending[0]
 
 
-def node_swap(tree: CodeTree, move: SwapMove) -> CodeTree:
+def node_swap(tree: CodeTree, move: SwapMove,
+              intern: Optional[_Intern] = None) -> CodeTree:
     """Apply one swap, returning a new tree; the input is unchanged."""
-    return CodeTree(tree.source, swapped_shape(tree, move))
+    return CodeTree(tree.source, swapped_shape(tree, move, intern))
+
+
+def _interned(tree: CodeTree, table: _Table) -> Shape:
+    """Enter `tree`'s shapes in `table` (its own, where the table holds no
+    equal one) and return the root's."""
+    held: Dict[Optional[int], Shape] = {}
+    for node in reversed(tree.nodes):  # children have larger ids
+        shape = key = node.shape
+        if node.symbol is None:
+            left, right = held.get(node.left), held.get(node.right)
+            key = (id(left), id(right))
+            if left is not shape[0] or right is not shape[1]:
+                shape = (left, right)
+        held[node.id] = table.setdefault(key, shape)
+    return held[0]
 
 
 def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
@@ -164,36 +198,50 @@ def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
 
 
 def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
-            target: Optional[str] = None) -> Tuple[_Parents, bool]:
+            target: Optional[CodeTree] = None
+            ) -> Tuple[_Parents, Optional[List[SwapMove]], bool]:
     """Breadth-first search from `tree`, stopping once `target` is seen.
 
-    Returns the recorded labels with their back-pointers, and whether the
-    cap skipped a neighbour.
+    Returns the recorded shapes with their back-pointers, the moves from
+    `tree` to a `target` unlike it (None if not reached), and whether
+    the cap skipped a neighbour.
     """
-    parent: _Parents = {tree.label: (None, None)}
-    queue = deque([(tree.label, tree)])
+    table: _Table = {}
+    _interned(tree, table)  # the table is empty, so these are tree's own
+    goal = None if target is None else _interned(target, table)
+    parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
+    queue = deque([tree])
     truncated = False
     while queue:
-        here, current = queue.popleft()
+        current = queue.popleft()
+        here = id(current.shape)
         for move in available_swaps(current, kinds):
-            label = shape_label(swapped_shape(current, move))  # no tree yet
-            if label in parent:
+            shape = swapped_shape(current, move, table.get)  # no tree yet
+            if id(shape) in parent:
                 continue
-            if label != target and len(parent) >= cap:
+            if shape is not goal and len(parent) >= cap:
                 truncated = True
                 continue
-            parent[label] = (here, move)
-            queue.append((label, node_swap(current, move)))
-            if label == target:
-                return parent, truncated
-    return parent, truncated
+            new = node_swap(current, move, table.setdefault)
+            parent[id(new.shape)] = (new.shape, here, move)
+            queue.append(new)
+            if shape is goal:
+                path: List[SwapMove] = []
+                while move is not None:
+                    path.append(move)
+                    _, here, move = parent[here]
+                return parent, path[::-1], truncated
+    return parent, None, truncated
 
 
 def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
                  cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """Breadth-first closure of a tree under the requested swap kinds."""
-    parent, truncated = _search(tree, kinds, cap)
-    return ClosureResult(tuple(sorted(parent)), truncated)
+    if tree.source != source:
+        raise AlphabetMismatch("tree is not over the given source")
+    parent, _, truncated = _search(tree, kinds, cap)
+    labels = sorted(shape_label(shape) for shape, _, _ in parent.values())
+    return ClosureResult(tuple(labels), truncated)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
@@ -203,17 +251,12 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
 
     Raises Truncated when the cap is hit before the question is decided.
     """
-    target = t2.label
-    if t1.label == target:
+    if t1.source != source or t2.source != source:
+        raise AlphabetMismatch("trees are not over the given source")
+    if t1.label == t2.label:
         return []
-    parent, truncated = _search(t1, kinds, cap, target)
-    if target in parent:
-        path: List[SwapMove] = []
-        label, move = parent[target]
-        while move is not None:
-            path.append(move)
-            label, move = parent[label]
-        path.reverse()
+    _, path, truncated = _search(t1, kinds, cap, t2)
+    if path is not None:
         return path
     if truncated:
         raise Truncated("closure cap %d hit before deciding equivalence" % cap)

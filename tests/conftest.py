@@ -1,9 +1,11 @@
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 
 from prefixcodes import (
+    CodeTree,
     PrefixCode,
     Source,
     code_from_tree,
@@ -26,6 +28,19 @@ def load_code(name: str) -> PrefixCode:
 def load_tree(source_name: str, code_name: str):
     source = load_source(source_name)
     return source, tree_from_code(source, load_code(code_name))
+
+
+def tree_for_label(source: Source, label: str) -> CodeTree:
+    """Rebuild a CodeTree from a canonical label of a complete tree."""
+    stack = []
+    for token in re.findall(r"[(),]|[^(),]+", label):
+        if token == ")":
+            right = stack.pop()
+            stack.append((stack.pop(), right))
+        elif token not in ("(", ","):
+            stack.append(token)
+    (shape,) = stack
+    return CodeTree(source, shape)
 
 
 def swapped_code(tree, move) -> PrefixCode:

@@ -37,8 +37,8 @@ from prefixcodes import (
     tree_from_code,
     verify_theorems,
 )
-from prefixcodes.oracle import catalan, _tree_for_label
-from conftest import load_tree
+from prefixcodes.oracle import catalan
+from conftest import load_tree, tree_for_label
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
@@ -125,7 +125,7 @@ def test_criterion_05_probability_swap_moves_symbol_across_rows(ex5):
     _, h1 = load_tree("ex5.src", "ex5_h1.code")
     assert h1.depth_of("c") == 2
     closure = swap_closure(ex5, h1, {SwapKind.SAME_PROBABILITY})
-    depths = {_tree_for_label(ex5, label).depth_of("c")
+    depths = {tree_for_label(ex5, label).depth_of("c")
               for label in closure.members}
     assert 4 in depths
     elapsed = time.monotonic() - start

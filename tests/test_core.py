@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,18 @@ class TestSource:
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateSymbol):
             Source([("x", Fraction(1, 2)), ("x", Fraction(1, 2))])
+
+    @pytest.mark.parametrize("char", ["(", ")", ",", "_", " ", "\t", "\n"])
+    def test_rejects_reserved_characters(self, char):
+        # label syntax in a symbol would let two distinct shapes share a label
+        sym = "a%sb" % char
+        message = "^symbol %s contains a reserved character$" % re.escape(
+            repr(sym))
+        for make in (lambda: Source([(sym, Fraction(1, 2)),
+                                     ("y", Fraction(1, 2))]),
+                     lambda: Source.from_weights([(sym, 1), ("y", 1)])):
+            with pytest.raises(InvalidSource, match=message):
+                make()
 
 
 class TestPrefixCode:

@@ -18,9 +18,8 @@ from prefixcodes import (
 )
 from prefixcodes import oracle
 from prefixcodes.errors import AlphabetTooLarge
-from prefixcodes.oracle import (_tree_for_label, catalan,
-                                strong_monotonicity_scan)
-from conftest import load_code, load_tree
+from prefixcodes.oracle import catalan, strong_monotonicity_scan
+from conftest import load_code, load_tree, tree_for_label
 
 
 class TestEnumeration:
@@ -83,7 +82,7 @@ class TestOptimalSet:
         # the same symbol sits at different depths across optimal trees
         depths = set()
         for label in optimal_set(ex5):
-            depths.add(_tree_for_label(ex5, label).depth_of("c"))
+            depths.add(tree_for_label(ex5, label).depth_of("c"))
         assert {2, 4} <= depths
 
 
@@ -161,6 +160,6 @@ class TestTreeForLabel:
         words = {"s%d" % i: "1" * i + "0" for i in range(n - 1)}
         words["s%d" % (n - 1)] = "1" * (n - 1)
         tree = tree_from_code(src, words)
-        back = _tree_for_label(src, tree.label)
+        back = tree_for_label(src, tree.label)
         assert back.label == tree.label
         assert back.depth_of("s%d" % (n - 1)) == n - 1

@@ -1,5 +1,6 @@
-"""The swap search that labels swapped shapes against a reference search
-that builds a tree for every neighbour, as the search once did."""
+"""The swap search that keys on swapped shapes against a reference search
+that builds a tree for every neighbour and keys on its label, as the
+search once did."""
 
 import random
 from collections import deque
@@ -21,10 +22,9 @@ from prefixcodes import (
     swap_equivalent,
     tree_from_code,
 )
-from prefixcodes import swaps
-from prefixcodes.core import shape_label
+from prefixcodes.core import CodeTree, shape_label
 from prefixcodes.errors import Truncated
-from prefixcodes.swaps import swapped_shape
+from prefixcodes.swaps import _interned, swapped_shape
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -51,6 +51,22 @@ def reference_search(tree, kinds, cap, target=None):
             parent[label] = (current.label, move)
             queue.append(neighbor)
     return parent, truncated
+
+
+def reference_closure(source, tree, kinds, cap):
+    parent, truncated = reference_search(tree, kinds, cap)
+    return ClosureResult(tuple(sorted(parent)), truncated)
+
+
+def reference_equivalent(source, t1, t2, kinds, cap):
+    if t1.label == t2.label:
+        return []
+    parent, truncated = reference_search(t1, kinds, cap, t2.label)
+    if t2.label in parent:
+        return _certificate(parent, t2.label)
+    if truncated:
+        raise Truncated("closure cap %d hit before deciding equivalence" % cap)
+    return None
 
 
 def _random_source(rng, n):
@@ -108,7 +124,7 @@ def _kind_of(outcome):
 
 
 @pytest.mark.parametrize("index", range(0, 70, 10))
-def test_search_agrees_with_reference(monkeypatch, index):
+def test_search_agrees_with_reference(index):
     seen = set()
     for tree in _cases()[index:index + 10]:
         source = tree.source
@@ -117,15 +133,13 @@ def test_search_agrees_with_reference(monkeypatch, index):
         target = replay(tree, _certificate(full, far))
         for kinds in KIND_SETS:
             for cap in CAPS:
-                queries = [
-                    lambda: swap_closure(source, tree, kinds, cap),
-                    lambda: swap_equivalent(source, tree, target, kinds,
-                                            cap)]
-                for query in queries:
-                    got = _outcome(query)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(swaps, "_search", reference_search)
-                        assert got == _outcome(query)
+                pairs = [(swap_closure, reference_closure, (tree,)),
+                         (swap_equivalent, reference_equivalent,
+                          (tree, target))]
+                for search, reference, trees in pairs:
+                    got = _outcome(lambda: search(source, *trees, kinds, cap))
+                    assert got == _outcome(
+                        lambda: reference(source, *trees, kinds, cap))
                     seen.add(_kind_of(got))
     assert seen >= {"closed", "truncated", "certificate", "none", "cap"}
 
@@ -136,6 +150,51 @@ def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
             for move in available_swaps(tree, set(SwapKind)):
                 assert (node_swap(tree, move).label
                         == shape_label(swapped_shape(tree, move)))
+
+
+def test_swapped_shapes_are_equal_iff_their_labels_are(ex4, ex5):
+    # the closure reports labels of the shapes the search records
+    for source in (ex4, ex5):
+        shapes = [swapped_shape(tree, move)
+                  for tree in huffman_enumerate(source)
+                  for move in available_swaps(tree, set(SwapKind))]
+        labels = [shape_label(shape) for shape in shapes]
+        assert len(set(shapes)) < len(shapes)  # some moves meet again
+        pairs = set(zip(shapes, labels))
+        assert len(pairs) == len(set(shapes)) == len(set(labels))
+
+
+def test_interned_shapes_are_one_object_iff_their_labels_are_equal(ex4, ex5):
+    # the search's dedupe, which compares shapes by identity alone
+    for source in (ex4, ex5):
+        table = {}
+        trees = [CodeTree(source, _interned(tree, table))
+                 for tree in huffman_enumerate(source)]
+        shapes, labels = [], []
+        for tree in trees:
+            for move in available_swaps(tree, set(SwapKind)):
+                new = node_swap(tree, move, table.setdefault)
+                assert swapped_shape(tree, move, table.get) is new.shape
+                assert _interned(new, table) is new.shape
+                shapes.append(new.shape)
+                labels.append(new.label)
+        assert len(set(map(id, shapes))) < len(shapes)
+        pairs = {(id(shape), label) for shape, label in zip(shapes, labels)}
+        assert len(pairs) == len(set(map(id, shapes))) == len(set(labels))
+
+
+def test_interned_shapes_hold_the_interned_subtrees(ex4):
+    # a shape entered from a tree built apart must point at the subtrees
+    # the table holds, or trees built from it would miss the table
+    tree = huffman_build(ex4)
+    table = {}
+    assert _interned(tree, table) is tree.shape  # an empty table keeps them
+    top = available_swaps(tree, {SwapKind.SAME_PARENT})[0]
+    assert (top.u, top.v) == (1, 2)  # the root's two children
+    flipped = tree_from_code(ex4, code_from_tree(node_swap(tree, top)))
+    left, right = _interned(flipped, table)
+    assert left is tree.shape[1] and right is tree.shape[0]
+    assert _interned(flipped, table) is _interned(node_swap(tree, top), table)
 
 
 def _certificate(parent, label):

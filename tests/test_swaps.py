@@ -19,12 +19,13 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.errors import (
+    AlphabetMismatch,
     AncestryViolation,
     KindViolation,
     ParseError,
     Truncated,
 )
-from conftest import load_tree, swapped_code
+from conftest import caterpillar, load_tree, swapped_code, tree_for_label
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
@@ -182,7 +183,7 @@ class TestClosure:
         assert len(closure.members) == 2 ** (len(ex1) - 1) == 8
         assert not closure.truncated
         for label in closure.members:
-            assert is_huffman(ex1, _tree(ex1, label))
+            assert is_huffman(ex1, tree_for_label(ex1, label))
 
     def test_example4_closures(self, ex4):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -199,7 +200,15 @@ class TestClosure:
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
         closure = swap_closure(ex4, h1, PARENT_PROB)
         for label in closure.members:
-            assert is_huffman(ex4, _tree(ex4, label))
+            assert is_huffman(ex4, tree_for_label(ex4, label))
+
+    def test_moves_back_are_not_new_members(self, ex4):
+        # the 24-tree class closes well below the cap only if every move
+        # back to a recorded tree is recognised as one
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        closure = swap_closure(ex4, h1, PARENT_PROB, cap=100)
+        assert not closure.truncated
+        assert len(set(closure.members)) == len(closure.members) == 24
 
     def test_truncation_flagged(self, ex4):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -212,6 +221,13 @@ class TestClosure:
         closure = swap_closure(ex4, h1, PARENT_PROB, cap=7)
         assert closure.truncated
         assert len(closure.members) == 7
+
+    def test_rejects_tree_over_another_source(self, ex4):
+        # prob swaps depend on the weights, so the tree's must be the source's
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        uniform = Source.from_weights((sym, 1) for sym in ex4.symbols)
+        with pytest.raises(AlphabetMismatch):
+            swap_closure(uniform, h1, {SwapKind.SAME_PROBABILITY})
 
 
 class TestSwapEquivalent:
@@ -230,6 +246,34 @@ class TestSwapEquivalent:
     def test_reflexive(self, ex4):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
         assert swap_equivalent(ex4, h1, h1, PARENT_PROB) == []
+
+    def test_rejects_trees_over_another_source(self, ex4):
+        # same shape, other weights: the trees differ, so [] would be wrong
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        uniform = Source.from_weights((sym, 1) for sym in ex4.symbols)
+        other = tree_from_code(uniform, code_from_tree(h1))
+        assert other.shape == h1.shape and other != h1
+        with pytest.raises(AlphabetMismatch):
+            swap_equivalent(ex4, h1, other, {SwapKind.SAME_ROW})
+        with pytest.raises(AlphabetMismatch):
+            swap_equivalent(uniform, h1, other, {SwapKind.SAME_ROW})
+
+    def test_deep_caterpillar(self):
+        # shapes 1,099 levels deep: comparing two equal nested tuples built
+        # apart, or two that differ only at the bottom, would recurse past
+        # the default recursion limit
+        src, words = caterpillar(1100)
+        tree = tree_from_code(src, words)
+        copy = tree_from_code(src, words)
+        assert swap_equivalent(src, tree, copy, {SwapKind.SAME_PARENT}) == []
+        bottom = tree.node(tree.node(len(tree.nodes) - 1).parent)
+        move = SwapMove(bottom.left, bottom.right, SwapKind.SAME_PARENT)
+        target = node_swap(tree, move)
+        # every other neighbour is compared with the target, then skipped
+        assert swap_equivalent(src, tree, target, {SwapKind.SAME_PARENT},
+                               cap=1) == [move]
+        closure = swap_closure(src, target, {SwapKind.SAME_PARENT}, cap=3)
+        assert closure.truncated and len(closure.members) == 3
 
     def test_certificate_round_trips_through_text(self, ex4):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -269,11 +313,6 @@ def _first_kind(tree, u, v):
     if a.depth == b.depth:
         return SwapKind.SAME_ROW
     return SwapKind.SAME_PROBABILITY
-
-
-def _tree(source, label):
-    from prefixcodes.oracle import _tree_for_label
-    return _tree_for_label(source, label)
 
 
 def _id_at_path(tree, path):
