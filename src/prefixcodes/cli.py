@@ -23,7 +23,8 @@ import sys
 import traceback
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional
+from itertools import accumulate
+from typing import List, Optional, Tuple
 
 from .analysis import PropertyReport, classify
 from .core import (
@@ -69,23 +70,31 @@ EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
 
-def parse_source_text(text: str) -> Source:
-    entries = []  # (symbol, value, whether the value is an integer weight)
+def _fields(text: str, second: str, kind: str) -> List[Tuple[int, str, str]]:
+    """(line number, symbol, second field) of each line with content; `#`
+    starts a comment."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError("line %d: expected 'symbol value'" % lineno)
-        sym, value = parts
+            raise ParseError("line %d: expected 'symbol %s'" % (lineno, second))
+        rows.append((lineno, parts[0], parts[1]))
+    if not rows:
+        raise ParseError("empty %s file" % kind)
+    return rows
+
+
+def parse_source_text(text: str) -> Source:
+    entries = []  # (symbol, value, whether the value is an integer weight)
+    for lineno, sym, value in _fields(text, "value", "source"):
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError("line %d: bad value %r" % (lineno, value)) from None
         entries.append((sym, frac, "/" not in value and frac.denominator == 1))
-    if not entries:
-        raise ParseError("empty source file")
     try:
         if all(weight for _, _, weight in entries):
             return Source.from_weights((s, f.numerator) for s, f, _ in entries)
@@ -95,17 +104,7 @@ def parse_source_text(text: str) -> Source:
 
 
 def parse_code_text(text: str) -> PrefixCode:
-    words = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("line %d: expected 'symbol bitstring'" % lineno)
-        words.append((parts[0], parts[1]))
-    if not words:
-        raise ParseError("empty code file")
+    words = [(sym, word) for _, sym, word in _fields(text, "bitstring", "code")]
     try:
         return PrefixCode(words)
     except CodeError as exc:
@@ -142,11 +141,7 @@ def tree_to_dot(tree: CodeTree) -> str:
 
 def _policy(name: str) -> TiePolicy:
     selector, _, order = name.partition("-")
-    return TiePolicy(
-        selector=Selector.FIRST_INDEX if selector == "first"
-        else Selector.LAST_INDEX,
-        child_order=ChildOrder.SMALLER_LEFT if order == "left"
-        else ChildOrder.SMALLER_RIGHT)
+    return TiePolicy(Selector(selector), ChildOrder("smaller-" + order))
 
 
 def _parse_kinds(text: str) -> set:
@@ -247,11 +242,11 @@ def cmd_swaps(args) -> int:
         if moves is None:
             print("NOT EQUIVALENT")
             return EXIT_NEGATIVE
-        current = start
-        lines = []
-        for move in moves:
-            lines.append(move_to_text(current, move))
-            current = node_swap(current, move)
+        # the replay re-checks each move; the last tree must be the target
+        trees = list(accumulate(moves, node_swap, initial=start))
+        if trees[-1].label != target.label:
+            raise ConsistencyError("certificate does not end at the target")
+        lines = [move_to_text(t, m) for t, m in zip(trees, moves)]
         if args.json:
             print(json.dumps({"equivalent": True, "certificate": lines},
                              indent=2))

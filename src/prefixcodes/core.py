@@ -241,7 +241,11 @@ class CodeTree:
                 nodes.append(Node(nid, parent, depth, weight_of[shp], shp,
                                   den, shp))
                 continue
-            left, right = shp
+            try:
+                left, right = shp
+            except (TypeError, ValueError):
+                raise InvalidTree("tree node is neither a symbol nor a pair"
+                                  ) from None
             if left is None and right is None:
                 raise InvalidTree("internal node with no children")
             node = Node(nid, parent, depth, 0, None, den, shp)

@@ -84,34 +84,33 @@ def swapped_shape(tree: CodeTree, move: SwapMove,
                   intern: Optional[_Intern] = None) -> Shape:
     """The shape of the tree after one checked swap; builds no tree.
 
-    Given `intern`, each rebuilt shape is replaced by
-    `intern((id(left), id(right)), shape)`: the `get` of a table holding
-    `tree`'s shapes puts in the equal shapes it holds, and its
-    `setdefault` also enters the others.
+    One walk up the two endpoints' root paths both checks the move and
+    finds the nodes to rebuild.  Given `intern`, each rebuilt shape is
+    replaced by `intern((id(left), id(right)), shape)`: the `get` of a
+    table holding `tree`'s shapes puts in the equal shapes it holds, and
+    its `setdefault` also enters the others.
     """
-    if move.u == move.v:
+    u, v, nodes = move.u, move.v, tree.nodes
+    if u == v:
         raise AncestryViolation("cannot swap a node with itself")
-    if not (0 <= move.u < len(tree.nodes) and 0 <= move.v < len(tree.nodes)):
+    if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
         raise AncestryViolation("node id out of range")
-    if _is_ancestor(tree, move.u, move.v) or _is_ancestor(tree, move.v, move.u):
+    above = set()  # proper ancestors of u and v
+    for nid in (nodes[u].parent, nodes[v].parent):
+        while nid is not None and nid not in above:
+            above.add(nid)
+            nid = nodes[nid].parent
+    if min(u, v) in above:  # ids are breadth-first: the larger is not above
         raise AncestryViolation("one swap endpoint is a descendant of the other")
     _check_kind(tree, move)
-    nodes = tree.nodes
-    # Rebuild the exchanged subtrees' ancestors bottom-up.  Ids are
-    # breadth-first, so no pending id lies below the largest one.
-    pending = {move.u: nodes[move.v].shape, move.v: nodes[move.u].shape}
-    nid = max(pending)
-    while nid:
-        shape = pending.pop(nid)
-        parent = nodes[nodes[nid].parent]
-        left, right = pending.get(parent.id, parent.shape)
-        pending[parent.id] = ((shape, right) if parent.left == nid
-                              else (left, shape))
-        nid = max(pending)
-        if intern is not None and nid != move.u and nid != move.v:
-            left, right = pending[nid]  # rebuilt, and final
-            pending[nid] = intern((id(left), id(right)), pending[nid])
-    return pending[0]
+    shapes = {u: nodes[v].shape, v: nodes[u].shape}
+    for nid in sorted(above, reverse=True):  # children have larger ids
+        node = nodes[nid]
+        left, right = node.shape
+        shape = (shapes.get(node.left, left), shapes.get(node.right, right))
+        shapes[nid] = shape if intern is None else intern(
+            (id(shape[0]), id(shape[1])), shape)
+    return shapes[0]
 
 
 def node_swap(tree: CodeTree, move: SwapMove,

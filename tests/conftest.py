@@ -1,4 +1,5 @@
 import pathlib
+import random
 import re
 from fractions import Fraction
 
@@ -8,8 +9,12 @@ from prefixcodes import (
     CodeTree,
     PrefixCode,
     Source,
+    SwapKind,
+    available_swaps,
     code_from_tree,
     decoder_step,
+    huffman_build,
+    node_swap,
     tree_from_code,
 )
 from prefixcodes.cli import parse_code_text, parse_source_text
@@ -82,6 +87,39 @@ def caterpillar(n: int):
     words = {"s%d" % i: "1" * i + "0" for i in range(n - 1)}
     words["s%d" % (n - 1)] = "1" * (n - 1)
     return source, words
+
+
+def _random_source(rng, n):
+    return Source.from_weights(("s%d" % i, rng.randint(1, 16))
+                               for i in range(n))
+
+
+def _complete_tree(rng, source):
+    tree = huffman_build(source)
+    for _ in range(rng.randint(0, 3)):
+        moves = available_swaps(tree, {SwapKind.SAME_ROW})
+        tree = node_swap(tree, rng.choice(moves))
+    return tree
+
+
+def _incomplete_tree(rng, source):
+    """A complete tree with one codeword lengthened by a bit."""
+    words = dict(code_from_tree(_complete_tree(rng, source)).words)
+    sym = rng.choice(source.symbols)
+    words[sym] += rng.choice("01")
+    return tree_from_code(source, words)
+
+
+def random_trees():
+    """70 trees over random 3- to 6-symbol sources, 30 of them incomplete."""
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(40):
+        source = _random_source(rng, 3 + i % 4)
+        cases.append(_complete_tree(rng, source))
+        if len(source) < 6:  # incomplete 6-symbol row classes run to 10^3+
+            cases.append(_incomplete_tree(rng, source))
+    return cases
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from prefixcodes.cli import main, parse_source_text
+from prefixcodes.cli import main, parse_code_text, parse_source_text
 from prefixcodes.errors import (AlphabetTooLarge, ConsistencyError,
                                NotComplete, ParseError)
+from prefixcodes.swaps import swap_equivalent
 from conftest import FIXTURES
 
 
@@ -28,6 +29,20 @@ class TestParsers:
     def test_bad_sum(self):
         with pytest.raises(ParseError):
             parse_source_text("a 1/2\nb 1/3\n")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_source_text, "a 1/2\n\nb 1/2 x\n",
+         "line 3: expected 'symbol value'"),
+        (parse_source_text, "# only a comment\n\n", "empty source file"),
+        (parse_source_text, "a 1/0\nb 1\n", "line 1: bad value '1/0'"),
+        (parse_code_text, "a 0\nb  # no word\n",
+         "line 2: expected 'symbol bitstring'"),
+        (parse_code_text, "   \n# a 0\n", "empty code file"),
+    ], ids=["source-fields", "source-empty", "source-value", "code-fields",
+            "code-empty"])
+    def test_messages(self, parse, text, message):
+        with pytest.raises(ParseError, match="^%s$" % message):
+            parse(text)
 
 
 class TestHuffmanCommand:
@@ -143,6 +158,22 @@ class TestSwapsCommand:
                      "--from", fx("ex4_h1.code"),
                      "--to", fx("ex4_c.code"),
                      "--kinds", "parent,prob", "--cap", "2"]) == 3
+
+    def test_certificate_that_ends_elsewhere_is_internal_error(
+            self, monkeypatch, capsys):
+        # every move replays cleanly, but the last tree is not the target
+        def short(*args, **kwargs):
+            return swap_equivalent(*args, **kwargs)[:-1]
+
+        monkeypatch.setattr("prefixcodes.cli.swap_equivalent", short)
+        assert main(["swaps", fx("ex4.src"),
+                     "--from", fx("ex4_h1.code"),
+                     "--to", fx("ex4_h2.code"),
+                     "--kinds", "parent,prob"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("internal error: certificate does not end at the target"
+                in captured.err)
 
     def test_certificate_cap_guard(self, capsys):
         # h2 is reachable, but not within 6 recorded trees

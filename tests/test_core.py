@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prefixcodes import (
+    CodeTree,
     PrefixCode,
     Source,
     code_from_lengths,
@@ -16,6 +17,7 @@ from prefixcodes.errors import (
     AlphabetMismatch,
     DuplicateSymbol,
     InvalidSource,
+    InvalidTree,
     KraftExceeded,
     PrefixViolation,
     UnknownSymbol,
@@ -109,6 +111,28 @@ class TestPrefixCode:
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol):
             PrefixCode([("a", "0"), ("a", "1")])
+
+
+class TestCodeTree:
+    ABC = Source.from_weights([("a", 1), ("b", 1), ("c", 2)])
+
+    @pytest.mark.parametrize("shape, message", [
+        ("a", "the root of a code tree cannot be a leaf"),
+        ((("a", "b"), ("a", "c")), "duplicate leaf symbols"),
+        ((("a", "b"), ("c", "x")),
+         "tree leaves do not match the source alphabet"),
+        (("a", "b"), "tree leaves do not match the source alphabet"),
+        ((("a", "b"), ("c", (None, None))), "internal node with no children"),
+        (("a", "b", "c"), "tree node is neither a symbol nor a pair"),
+        (("a", 3), "tree node is neither a symbol nor a pair"),
+        (None, "tree node is neither a symbol nor a pair"),
+        ((("a", "b"), ("c",)), "tree node is neither a symbol nor a pair"),
+    ], ids=["leaf-root", "duplicate-leaf", "unknown-leaf", "missing-leaf",
+            "no-children", "triple", "int-child", "none-root",
+            "one-tuple-child"])
+    def test_rejects_malformed_shape(self, shape, message):
+        with pytest.raises(InvalidTree, match="^%s$" % message):
+            CodeTree(self.ABC, shape)
 
 
 class TestTreeFromCode:

@@ -2,7 +2,6 @@
 that builds a tree for every neighbour and keys on its label, as the
 search once did."""
 
-import random
 from collections import deque
 from itertools import combinations
 
@@ -10,7 +9,6 @@ import pytest
 
 from prefixcodes import (
     ClosureResult,
-    Source,
     SwapKind,
     available_swaps,
     code_from_tree,
@@ -25,6 +23,7 @@ from prefixcodes import (
 from prefixcodes.core import CodeTree, shape_label
 from prefixcodes.errors import Truncated
 from prefixcodes.swaps import _interned, swapped_shape
+from conftest import random_trees
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -69,38 +68,6 @@ def reference_equivalent(source, t1, t2, kinds, cap):
     return None
 
 
-def _random_source(rng, n):
-    return Source.from_weights(("s%d" % i, rng.randint(1, 16))
-                               for i in range(n))
-
-
-def _complete_tree(rng, source):
-    tree = huffman_build(source)
-    for _ in range(rng.randint(0, 3)):
-        moves = available_swaps(tree, {SwapKind.SAME_ROW})
-        tree = node_swap(tree, rng.choice(moves))
-    return tree
-
-
-def _incomplete_tree(rng, source):
-    """A complete tree with one codeword lengthened by a bit."""
-    words = dict(code_from_tree(_complete_tree(rng, source)).words)
-    sym = rng.choice(source.symbols)
-    words[sym] += rng.choice("01")
-    return tree_from_code(source, words)
-
-
-def _cases():
-    rng = random.Random(20261018)
-    cases = []
-    for i in range(40):
-        source = _random_source(rng, 3 + i % 4)
-        cases.append(_complete_tree(rng, source))
-        if len(source) < 6:  # incomplete 6-symbol row classes run to 10^3+
-            cases.append(_incomplete_tree(rng, source))
-    return cases
-
-
 def _outcome(call):
     try:
         return call()
@@ -109,7 +76,7 @@ def _outcome(call):
 
 
 def test_cases_cover_sizes_and_incomplete_codes():
-    cases = _cases()
+    cases = random_trees()
     assert {len(t.source) for t in cases} == {3, 4, 5, 6}
     assert len(cases) == 70
     assert sum(not t.is_complete for t in cases) == 30
@@ -126,7 +93,7 @@ def _kind_of(outcome):
 @pytest.mark.parametrize("index", range(0, 70, 10))
 def test_search_agrees_with_reference(index):
     seen = set()
-    for tree in _cases()[index:index + 10]:
+    for tree in random_trees()[index:index + 10]:
         source = tree.source
         full, _ = reference_search(tree, set(SwapKind), 10 ** 6)
         far = list(full)[-1]  # the last state recorded under all kinds

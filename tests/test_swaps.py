@@ -25,7 +25,8 @@ from prefixcodes.errors import (
     ParseError,
     Truncated,
 )
-from conftest import caterpillar, load_tree, swapped_code, tree_for_label
+from conftest import (caterpillar, load_tree, random_trees, swapped_code,
+                      tree_for_label)
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
@@ -77,6 +78,36 @@ class TestNodeSwap:
             node_swap(h1, SwapMove(child_of_root, grandchild,
                                    SwapKind.SAME_PROBABILITY))
 
+    # ex1_h1 in breadth-first ids: 0 = root, 1 = a, 2 = (b,(c,d)), 3 = b,
+    # 4 = (c,d), 5 = c, 6 = d; weights a 4, b 2, c 1, d 1 (over 8)
+    @pytest.mark.parametrize("u, v, kind, error, message", [
+        (3, 3, "parent", AncestryViolation, "cannot swap a node with itself"),
+        (7, 7, "row", AncestryViolation, "cannot swap a node with itself"),
+        (-1, 3, "row", AncestryViolation, "node id out of range"),
+        (3, 7, "row", AncestryViolation, "node id out of range"),
+        (0, 7, "prob", AncestryViolation, "node id out of range"),
+        (0, 3, "prob", AncestryViolation,
+         "one swap endpoint is a descendant of the other"),
+        (1, 0, "parent", AncestryViolation,
+         "one swap endpoint is a descendant of the other"),
+        (2, 5, "prob", AncestryViolation,
+         "one swap endpoint is a descendant of the other"),
+        (5, 2, "row", AncestryViolation,
+         "one swap endpoint is a descendant of the other"),
+        (1, 3, "parent", KindViolation, "nodes 1 and 3 are not siblings"),
+        (5, 3, "row", KindViolation, "nodes 5 and 3 are on different rows"),
+        (3, 5, "prob", KindViolation, "nodes 3 and 5 differ in probability"),
+    ], ids=["self", "self-out-of-range", "negative-id", "id-len-nodes",
+            "root-and-out-of-range", "root", "root-second", "ancestor-first",
+            "ancestor-second", "parent", "row-u-after-v", "prob"])
+    def test_rejects_move(self, u, v, kind, error, message):
+        # checked in order: self-swap, range, ancestry, kind
+        _, h1 = load_tree("ex1.src", "ex1_h1.code")
+        move = SwapMove(u, v, SwapKind(kind))
+        with pytest.raises(error, match="^%s$" % message) as info:
+            node_swap(h1, move)
+        assert type(info.value) is error
+
     def test_kind_violation(self, ex1):
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
         a, b = h1.leaf_id("a"), h1.leaf_id("b")
@@ -108,13 +139,14 @@ class TestNodeSwap:
                 assert node_swap(tree, move).expected_length() == base
 
     def test_exchanges_codeword_prefixes(self, ex4, ex5):
-        for source in (ex4, ex5):
-            for tree in huffman_enumerate(source):
-                for kind in KIND_ORDER:
-                    for move in available_swaps(tree, {kind}):
-                        swapped = node_swap(tree, move)
-                        assert (code_from_tree(swapped)
-                                == swapped_code(tree, move))
+        # the incomplete trees have one-child nodes on the rebuilt paths
+        trees = [*huffman_enumerate(ex4), *huffman_enumerate(ex5),
+                 *(tree for tree in random_trees() if not tree.is_complete)]
+        for tree in trees:
+            for kind in KIND_ORDER:
+                for move in available_swaps(tree, {kind}):
+                    swapped = node_swap(tree, move)
+                    assert code_from_tree(swapped) == swapped_code(tree, move)
 
     def test_deep_caterpillar_sibling_swap(self):
         # codewords 1^i 0 for i < n - 1, then 1^(n-1): path length n - 1
