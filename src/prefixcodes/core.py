@@ -241,11 +241,9 @@ class CodeTree:
                 nodes.append(Node(nid, parent, depth, weight_of[shp], shp,
                                   den, shp))
                 continue
-            try:
-                left, right = shp
-            except (TypeError, ValueError):
-                raise InvalidTree("tree node is neither a symbol nor a pair"
-                                  ) from None
+            if not (isinstance(shp, tuple) and len(shp) == 2):
+                raise InvalidTree("tree node is neither a symbol nor a pair")
+            left, right = shp
             if left is None and right is None:
                 raise InvalidTree("internal node with no children")
             node = Node(nid, parent, depth, 0, None, den, shp)
@@ -336,6 +334,26 @@ class CodeTree:
 
     def __repr__(self) -> str:
         return "CodeTree(%s)" % self.label
+
+
+# symbol -> itself, (id(left), id(right)) -> the one shape with those
+# children, which the table keeps alive, so no keyed id is reused
+ShapeTable = Dict[object, Shape]
+
+
+def interned(tree: CodeTree, table: ShapeTable) -> Shape:
+    """Enter `tree`'s shapes in `table` (its own, where the table holds no
+    equal one) and return the root's."""
+    held: Dict[Optional[int], Shape] = {}
+    for node in reversed(tree.nodes):  # children have larger ids
+        shape = key = node.shape
+        if node.symbol is None:
+            left, right = held.get(node.left), held.get(node.right)
+            key = (id(left), id(right))
+            if left is not shape[0] or right is not shape[1]:
+                shape = (left, right)
+        held[node.id] = table.setdefault(key, shape)
+    return held[0]
 
 
 def canonical_label(tree: CodeTree) -> str:

@@ -6,10 +6,9 @@ import enum
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 from typing import Optional, Tuple
 
-from .core import CodeTree, Source, shape_label
+from .core import CodeTree, ShapeTable, Source, shape_label
 from .errors import CapExceeded, NotComplete, NotOptimal
 
 DEFAULT_ENUMERATE_CAP = 100_000
@@ -80,11 +79,13 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     are returned sorted by canonical label.  Raises CapExceeded as soon
     as more than `cap` distinct trees are found.
     """
-    start = tuple(sorted(zip(source.symbols, source.weights, source.symbols),
-                         key=lambda t: t[0]))
+    table: ShapeTable = {}  # lives for this call, so every id names a shape
+    start = tuple(sorted(zip(map(id, source.symbols), source.weights,
+                             source.symbols)))
 
     def successors(state):
-        # state: tuple of (label, weight, shape), sorted by label
+        # state: tuple of (id(shape), weight, shape), sorted by id; a
+        # state's ids are distinct, so no comparison reaches a shape
         least = second = None  # the two least weights, in one pass
         for _, w, _ in state:
             if least is None or w < least:
@@ -99,15 +100,15 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                      if t[1] == second)
         for i, j in pairs:
             for left, right in ((state[i], state[j]), (state[j], state[i])):
-                merged = ("(%s,%s)" % (left[0], right[0]),
-                          least + second, (left[2], right[2]))
+                shape = table.setdefault((left[0], right[0]),
+                                         (left[2], right[2]))
                 nxt = list(state)
                 del nxt[j], nxt[i]
-                insort(nxt, merged, key=itemgetter(0))
+                insort(nxt, (id(shape), least + second, shape))
                 yield tuple(nxt)
 
     # no shape repeats: states expand once; a shape's root pair fixes its state
-    seen = set()  # label keys of pushed states; `start` is no one's successor
+    seen = set()  # id keys of pushed states; `start` is no one's successor
     stack = [start]
     shapes = []
     while stack:
@@ -118,7 +119,7 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                     raise CapExceeded(
                         "at least %d distinct Huffman trees exceed cap %d"
                         % (len(shapes), cap))
-            elif (k := tuple(lbl for lbl, _, _ in nxt)) not in seen:
+            elif (k := tuple(i for i, _, _ in nxt)) not in seen:
                 seen.add(k)
                 stack.append(nxt)
     return tuple(CodeTree(source, s) for s in sorted(shapes, key=shape_label))

@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import CodeTree, Shape, Source, shape_label
+from .core import CodeTree, Shape, ShapeTable, Source, interned, shape_label
 from .errors import (AlphabetMismatch, AncestryViolation, KindViolation,
                      ParseError, Truncated)
 
@@ -43,10 +44,7 @@ class SwapMove:
 
 # id(shape) -> (shape, id of the previous shape, move from it)
 _Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
-# symbol -> itself, (id(left), id(right)) -> the one shape of those
-# children, which it keeps alive, so no keyed id is reused
-_Table = Dict[object, Shape]
-_Intern = Callable[[Tuple[int, int], Shape], Shape]  # _Table.get or setdefault
+_Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
 
 
 @dataclass(frozen=True)
@@ -119,21 +117,6 @@ def node_swap(tree: CodeTree, move: SwapMove,
     return CodeTree(tree.source, swapped_shape(tree, move, intern))
 
 
-def _interned(tree: CodeTree, table: _Table) -> Shape:
-    """Enter `tree`'s shapes in `table` (its own, where the table holds no
-    equal one) and return the root's."""
-    held: Dict[Optional[int], Shape] = {}
-    for node in reversed(tree.nodes):  # children have larger ids
-        shape = key = node.shape
-        if node.symbol is None:
-            left, right = held.get(node.left), held.get(node.right)
-            key = (id(left), id(right))
-            if left is not shape[0] or right is not shape[1]:
-                shape = (left, right)
-        held[node.id] = table.setdefault(key, shape)
-    return held[0]
-
-
 def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
     """All admissible moves of the requested kinds, in (u, v) order.
 
@@ -191,9 +174,7 @@ def move_from_text(tree: CodeTree, text: str) -> SwapMove:
 
 def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
     """Apply a certificate move-by-move."""
-    for move in moves:
-        tree = node_swap(tree, move)
-    return tree
+    return reduce(node_swap, moves, tree)
 
 
 def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
@@ -205,9 +186,9 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     `tree` to a `target` unlike it (None if not reached), and whether
     the cap skipped a neighbour.
     """
-    table: _Table = {}
-    _interned(tree, table)  # the table is empty, so these are tree's own
-    goal = None if target is None else _interned(target, table)
+    table: ShapeTable = {}
+    interned(tree, table)  # the table is empty, so these are tree's own
+    goal = None if target is None else interned(target, table)
     parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
     queue = deque([tree])
     truncated = False

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import prefixcodes
 from prefixcodes.cli import main, parse_code_text, parse_source_text
 from prefixcodes.errors import (AlphabetTooLarge, ConsistencyError,
                                NotComplete, ParseError)
@@ -285,3 +290,22 @@ class TestDeepTrees:
         src = self.dyadic_source(tmp_path)
         assert main(["huffman", src, "--all", "--cap", "10"]) == 3
         assert "exceed cap 10" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+    def test_huffman_all_on_dyadic_weights_fits_in_300_mb(self, tmp_path):
+        # merge states are keyed on interned shapes, not on node labels
+        # that grow with depth, so the default cap trips in bounded memory
+        import resource
+
+        def limit_memory():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+        env = dict(os.environ, PYTHONPATH=str(
+            pathlib.Path(prefixcodes.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefixcodes.cli", "huffman",
+             self.dyadic_source(tmp_path), "--all"],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "exceed cap 100000" in proc.stderr

@@ -127,9 +127,11 @@ class TestCodeTree:
         (("a", 3), "tree node is neither a symbol nor a pair"),
         (None, "tree node is neither a symbol nor a pair"),
         ((("a", "b"), ("c",)), "tree node is neither a symbol nor a pair"),
+        (["a", ["b", "c"]], "tree node is neither a symbol nor a pair"),
+        (("a", ["b", "c"]), "tree node is neither a symbol nor a pair"),
     ], ids=["leaf-root", "duplicate-leaf", "unknown-leaf", "missing-leaf",
             "no-children", "triple", "int-child", "none-root",
-            "one-tuple-child"])
+            "one-tuple-child", "list-root", "list-child"])
     def test_rejects_malformed_shape(self, shape, message):
         with pytest.raises(InvalidTree, match="^%s$" % message):
             CodeTree(self.ABC, shape)

@@ -54,6 +54,7 @@ def cases():
                ["swaps", "fixtures/ex4.src", "--from", "fixtures/ex4_h1.code",
                 "--to", "fixtures/ex4_h2.code", "--kinds", kinds, "--json"])
     yield ("verify-ex4", ["verify", "fixtures/ex4.src", "--json"])
+    yield ("verify-corpus", ["verify", "--corpus", "--json"])
 
 
 def run(argv):

@@ -130,7 +130,8 @@ class TestEnumerate:
         assert labels == sorted(labels)
 
     def test_cap(self, ex4):
-        with pytest.raises(Exception):
+        with pytest.raises(CapExceeded, match="^at least 2 distinct Huffman "
+                           "trees exceed cap 1$"):
             huffman_enumerate(ex4, cap=1)
 
     def test_cap_trips_during_search(self):
@@ -161,6 +162,15 @@ class TestEnumerate:
             got = [t.label for t in huffman_enumerate(src, cap)]
             assert len(set(got)) == len(got), src.weights
             assert got == want, src.weights
+
+    def test_equal_subtrees_are_one_shape(self, ex2):
+        # the search interns every merged subtree, so across all trees it
+        # returns, internal nodes with equal labels hold one shape object
+        shapes = {id(node.shape): node.shape
+                  for tree in huffman_enumerate(ex2) for node in tree.nodes
+                  if node.symbol is None}
+        labels = {shape_label(shape) for shape in shapes.values()}
+        assert len(shapes) == len(labels) == 37_872
 
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):

@@ -20,9 +20,9 @@ from prefixcodes import (
     swap_equivalent,
     tree_from_code,
 )
-from prefixcodes.core import CodeTree, shape_label
+from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import Truncated
-from prefixcodes.swaps import _interned, swapped_shape
+from prefixcodes.swaps import swapped_shape
 from conftest import random_trees
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
@@ -135,14 +135,14 @@ def test_interned_shapes_are_one_object_iff_their_labels_are_equal(ex4, ex5):
     # the search's dedupe, which compares shapes by identity alone
     for source in (ex4, ex5):
         table = {}
-        trees = [CodeTree(source, _interned(tree, table))
+        trees = [CodeTree(source, interned(tree, table))
                  for tree in huffman_enumerate(source)]
         shapes, labels = [], []
         for tree in trees:
             for move in available_swaps(tree, set(SwapKind)):
                 new = node_swap(tree, move, table.setdefault)
                 assert swapped_shape(tree, move, table.get) is new.shape
-                assert _interned(new, table) is new.shape
+                assert interned(new, table) is new.shape
                 shapes.append(new.shape)
                 labels.append(new.label)
         assert len(set(map(id, shapes))) < len(shapes)
@@ -155,13 +155,13 @@ def test_interned_shapes_hold_the_interned_subtrees(ex4):
     # the table holds, or trees built from it would miss the table
     tree = huffman_build(ex4)
     table = {}
-    assert _interned(tree, table) is tree.shape  # an empty table keeps them
+    assert interned(tree, table) is tree.shape  # an empty table keeps them
     top = available_swaps(tree, {SwapKind.SAME_PARENT})[0]
     assert (top.u, top.v) == (1, 2)  # the root's two children
     flipped = tree_from_code(ex4, code_from_tree(node_swap(tree, top)))
-    left, right = _interned(flipped, table)
+    left, right = interned(flipped, table)
     assert left is tree.shape[1] and right is tree.shape[0]
-    assert _interned(flipped, table) is _interned(node_swap(tree, top), table)
+    assert interned(flipped, table) is interned(node_swap(tree, top), table)
 
 
 def _certificate(parent, label):
