@@ -127,14 +127,12 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
 
 def _sibling_pairs(tree: CodeTree):
     """(hi, lo) child pairs of each internal node, hi >= lo by probability."""
-    pairs = []
-    for nid in tree.internal_ids:
-        node = tree.node(nid)
-        left, right = tree.node(node.left), tree.node(node.right)
-        if left.weight >= right.weight:
-            pairs.append((left, right))
-        else:
-            pairs.append((right, left))
+    nodes, pairs = tree.nodes, []
+    for node in nodes:
+        if node.symbol is None:
+            left, right = nodes[node.left], nodes[node.right]
+            pairs.append((left, right) if left.weight >= right.weight
+                         else (right, left))
     return pairs
 
 

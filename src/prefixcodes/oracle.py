@@ -21,14 +21,12 @@ from .core import (
     Shape,
     Source,
     code_from_tree,
-    kraft_sum,
     shape_label,
 )
 from .errors import AlphabetTooLarge
 from .huffman import (
     huffman_build,
     huffman_enumerate,
-    is_huffman,
     sibling_property,
     sibling_property_exhaustive,
 )
@@ -134,12 +132,12 @@ def min_expected_length(source: Source) -> Fraction:
 
 def optimal_set(source: Source) -> Set[str]:
     """Canonical labels of every minimum-expected-length complete tree."""
-    return _fill_labels(source, _optimum(source)[1])
+    return set(map(shape_label, _fill_shapes(source, _optimum(source)[1])))
 
 
-def _fill_labels(source: Source, fills: List[_Fill]) -> Set[str]:
-    return {shape_label(_fill(t, tuple(source.symbols[s] for s in perm)))
-            for t, perm in fills}
+def _fill_shapes(source: Source, fills: List[_Fill]) -> Set[Shape]:
+    symbols = source.symbols
+    return {_fill(t, tuple(symbols[s] for s in perm)) for t, perm in fills}
 
 
 def strong_monotonicity_scan(source: Source, code: PrefixCode
@@ -220,27 +218,52 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _lengths_key(tree: CodeTree) -> Tuple[int, ...]:
-    return tuple(tree.depth_of(s) for s in tree.source.symbols)
+def _tally(tree: CodeTree, index: Dict[str, int]
+           ) -> Tuple[Tuple[int, ...], int, bool]:
+    """One pass over `tree.nodes`: its codeword lengths in source order,
+    its weighted depth sum (expected length times `den`) and whether its
+    Kraft sum is 1."""
+    nodes = tree.nodes
+    top = nodes[-1].depth  # ids are breadth-first: the last node is deepest
+    lengths = [0] * len(index)
+    total = kraft = 0
+    for node in nodes:
+        if node.symbol is not None:
+            depth = node.depth
+            lengths[index[node.symbol]] = depth
+            total += node.weight * depth
+            kraft += 1 << (top - depth)
+    return tuple(lengths), total, kraft == 1 << top
+
+
+def _note(bad: List[str], tree: CodeTree) -> None:
+    """Keep the labels of the first three counterexamples."""
+    if len(bad) < 3:
+        bad.append(tree.label)
 
 
 def verify_theorems(source: Source) -> VerificationReport:
     """Exhaustively cross-check every characterization on one source.
 
     Runs the optimality / Huffman / swap-equivalence statements against
-    the full enumeration of complete trees.  The pairwise same-row swap
-    check is skipped above 5 symbols to stay at desk scale; every other
-    check runs up to 6 symbols.
+    the full enumeration of complete trees, each read in one pass over
+    its nodes.  Only the strong-monotonicity verdict is shared by a
+    length class; trees and closures are compared as sets of shapes.
+    The pairwise same-row swap check is skipped above 5 symbols to stay
+    at desk scale; every other check runs up to 6 symbols.
     """
     _guard(source, VERIFY_MAX_SYMBOLS)
     report = VerificationReport(source=source)
     checks = report.checks
+    index = {s: i for i, s in enumerate(source.symbols)}
 
+    # Shapes are compared and hashed by value, which recurses once per
+    # level; VERIFY_MAX_SYMBOLS = 6 bounds the depth at 5.
     huffman_trees = huffman_enumerate(source)
-    huffman_labels = {t.label for t in huffman_trees}
-    huffman_length_keys = {_lengths_key(t) for t in huffman_trees}
+    huffman_shapes = {t.shape for t in huffman_trees}
+    huffman_length_keys = {_tally(t, index)[0] for t in huffman_trees}
     best, fills = _optimum(source)  # one brute-force pass for both
-    opt_labels = _fill_labels(source, fills)
+    opt_shapes = _fill_shapes(source, fills)
     min_len = Fraction(best, source.den)
 
     # Huffman optimality, independently of the sibling property.
@@ -256,8 +279,8 @@ def verify_theorems(source: Source) -> VerificationReport:
     # (verdict or witness); it equals no verdict, so it fails the check.
     sm_by_lengths: Dict[Tuple[int, ...], Optional[bool]] = {}
 
-    def strongly_monotone(tree: CodeTree) -> Optional[bool]:
-        key = _lengths_key(tree)
+    def strongly_monotone(key: Tuple[int, ...], tree: CodeTree
+                          ) -> Optional[bool]:
         if key not in sm_by_lengths:
             code = code_from_tree(tree)
             witness = strong_monotonicity_check(source, code)
@@ -265,55 +288,60 @@ def verify_theorems(source: Source) -> VerificationReport:
             sm_by_lengths[key] = (witness is None) if agree else None
         return sm_by_lengths[key]
 
+    row_class_checked = len(source) <= 5
     equivalence_bad: List[str] = []
     sibling_bad: List[str] = []
     kraft_bad: List[str] = []
     monotone_bad: List[str] = []
-    sibling_labels: Set[str] = set()
-    classes: Dict[Tuple[int, ...], List[str]] = {}
-    reps: Dict[Tuple[int, ...], CodeTree] = {}  # first tree of each class
+    sibling_shapes: Set[Shape] = set()
+    # length key -> (first tree of the class, whether `_optimum` lists it)
+    reps: Dict[Tuple[int, ...], Tuple[CodeTree, bool]] = {}
+    classes: Dict[Tuple[int, ...], Set[Shape]] = {}  # only if row-checked
 
     for tree in enumerate_complete_trees(source).members:
-        label = tree.label
-        key = _lengths_key(tree)
-        optimal = tree.expected_length() == min_len
-        length_equiv = key in huffman_length_keys
-        if not (optimal == strongly_monotone(tree) == length_equiv
-                == (label in opt_labels)):
-            equivalence_bad.append(label)
+        key, total, kraft_one = _tally(tree, index)
+        if not kraft_one:  # the checks below presuppose a complete tree
+            _note(kraft_bad, tree)
+            continue
+        shape = tree.shape
+        in_opt = shape in opt_shapes
+        optimal = total == best
+        if not (optimal == strongly_monotone(key, tree)
+                == (key in huffman_length_keys) == in_opt):
+            _note(equivalence_bad, tree)
         greedy = sibling_property(source, tree)
         exhaustive = sibling_property_exhaustive(source, tree)
         if (greedy is None) != (exhaustive is None):
-            sibling_bad.append(label)
+            _note(sibling_bad, tree)
         if greedy is not None:
-            sibling_labels.add(label)
-        if kraft_sum(code_from_tree(tree)) != 1:
-            kraft_bad.append(label)
-        if label in huffman_labels and not is_monotone(source, tree):
-            monotone_bad.append(label)
-        classes.setdefault(key, []).append(label)
-        reps.setdefault(key, tree)
+            sibling_shapes.add(shape)
+        if shape in huffman_shapes and not is_monotone(source, tree):
+            _note(monotone_bad, tree)
+        if key not in reps:
+            reps[key] = (tree, in_opt)
+        if row_class_checked:
+            classes.setdefault(key, set()).add(shape)
 
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",
         not equivalence_bad,
-        "counterexamples: %s" % equivalence_bad[:3] if equivalence_bad
+        "counterexamples: %s" % equivalence_bad if equivalence_bad
         else "%d trees checked" % (factorial(len(source))
                                    * catalan(len(source) - 1))))
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
-        not sibling_bad and sibling_labels == huffman_labels,
+        not sibling_bad and sibling_shapes == huffman_shapes,
         "greedy/backtracking disagreements: %s; listing-set == "
-        "merge-enumeration: %s" % (sibling_bad[:3],
-                                   sibling_labels == huffman_labels)))
+        "merge-enumeration: %s" % (sibling_bad,
+                                   sibling_shapes == huffman_shapes)))
     checks.append(TheoremCheck(
         "complete-kraft-sum-one",
         not kraft_bad,
-        "counterexamples: %s" % kraft_bad[:3] if kraft_bad else ""))
+        "counterexamples: %s" % kraft_bad if kraft_bad else ""))
     checks.append(TheoremCheck(
         "huffman-trees-monotone",
         not monotone_bad,
-        "counterexamples: %s" % monotone_bad[:3] if monotone_bad else ""))
+        "counterexamples: %s" % monotone_bad if monotone_bad else ""))
 
     # All Huffman trees form one {same-parent, same-probability} class.
     closure_hp = swap_closure(
@@ -321,9 +349,9 @@ def verify_theorems(source: Source) -> VerificationReport:
         {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "huffman-swap-equivalence",
-        not closure_hp.truncated and set(closure_hp.members) == huffman_labels,
+        not closure_hp.truncated and set(closure_hp.shapes) == huffman_shapes,
         "closure size %d vs %d enumerated Huffman trees"
-        % (len(closure_hp.members), len(huffman_labels))))
+        % (len(closure_hp.shapes), len(huffman_shapes))))
 
     # All optimal trees form one {same-row, same-probability} class.
     closure_rp = swap_closure(
@@ -331,33 +359,28 @@ def verify_theorems(source: Source) -> VerificationReport:
         {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "optimal-swap-equivalence",
-        not closure_rp.truncated and set(closure_rp.members) == opt_labels,
+        not closure_rp.truncated and set(closure_rp.shapes) == opt_shapes,
         "closure size %d vs %d optimal trees"
-        % (len(closure_rp.members), len(opt_labels))))
+        % (len(closure_rp.shapes), len(opt_shapes))))
 
     # Every optimal tree's same-row class contains a Huffman tree.
     corollary_ok = True
     detail = ""
-    for key, members in classes.items():
-        if members[0] not in opt_labels:
-            continue
-        if key not in huffman_length_keys:
+    for key, (_, optimal) in reps.items():
+        if optimal and key not in huffman_length_keys:
             corollary_ok = False
             detail = "optimal class %s has no Huffman member" % (key,)
             break
-    row_class_checked = False
-    if len(source) <= 5:
-        row_class_checked = True
-        for key, members in classes.items():
-            closure_row = swap_closure(source, reps[key],
-                                       {SwapKind.SAME_ROW})
-            if set(closure_row.members) != set(members):
+    if row_class_checked:
+        for key, (rep, optimal) in reps.items():
+            closure_row = set(swap_closure(source, rep,
+                                           {SwapKind.SAME_ROW}).shapes)
+            if closure_row != classes[key]:
                 corollary_ok = False
-                detail = ("same-row closure of %s != its length class"
-                          % members[0])
+                detail = "same-row closure of %s != its length class" % (
+                    rep.label)
                 break
-            if members[0] in opt_labels and not (
-                    set(closure_row.members) & huffman_labels):
+            if optimal and closure_row.isdisjoint(huffman_shapes):
                 corollary_ok = False
                 detail = "optimal same-row class without a Huffman tree"
                 break

@@ -8,9 +8,10 @@ shapes (equal shapes are one object, so no nested tuple is compared,
 which in C recurses once per level): a neighbour is recorded only while
 fewer than `cap` shapes are (the target of an equivalence search always
 is), and a search that skips a neighbour for the cap is truncated.
-Only `swap_closure` renders labels, one per recorded shape.  Certificate
-moves are serialized as (row, index-in-row) pairs, stable because node
-ids are breadth-first.
+`swap_closure` returns the recorded shapes and renders one label per
+shape only when its `members` are read.  Certificate moves are
+serialized as (row, index-in-row) pairs, stable because node ids are
+breadth-first.
 """
 
 from __future__ import annotations
@@ -47,10 +48,44 @@ _Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
 _Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
 
 
-@dataclass(frozen=True)
 class ClosureResult:
-    members: Tuple[str, ...]           # canonical labels, sorted
-    truncated: bool
+    """Sorted canonical labels of the trees a closure recorded, and whether
+    the cap cut it short.  A search result also holds `shapes`, the
+    interned shapes in record order, and renders `members` on first read;
+    equality compares `members` and `truncated` only.
+    """
+
+    __slots__ = ("shapes", "truncated", "_members")
+
+    def __init__(self, members: Sequence[str], truncated: bool):
+        self._members: Optional[Tuple[str, ...]] = tuple(members)
+        self.truncated = truncated
+        self.shapes: Optional[Tuple[Shape, ...]] = None
+
+    @classmethod
+    def of_shapes(cls, shapes: Sequence[Shape], truncated: bool
+                  ) -> "ClosureResult":
+        result = cls((), truncated)
+        result._members, result.shapes = None, tuple(shapes)
+        return result
+
+    @property
+    def members(self) -> Tuple[str, ...]:
+        if self._members is None:
+            self._members = tuple(sorted(map(shape_label, self.shapes)))
+        return self._members
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ClosureResult)
+                and self.truncated == other.truncated
+                and self.members == other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.truncated))
+
+    def __repr__(self) -> str:
+        return "ClosureResult(members=%r, truncated=%r)" % (self.members,
+                                                             self.truncated)
 
 
 def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
@@ -220,8 +255,8 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
     if tree.source != source:
         raise AlphabetMismatch("tree is not over the given source")
     parent, _, truncated = _search(tree, kinds, cap)
-    labels = sorted(shape_label(shape) for shape, _, _ in parent.values())
-    return ClosureResult(tuple(labels), truncated)
+    return ClosureResult.of_shapes([shape for shape, _, _ in parent.values()],
+                                   truncated)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,

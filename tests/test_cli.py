@@ -49,6 +49,25 @@ class TestParsers:
         with pytest.raises(ParseError, match="^%s$" % message):
             parse(text)
 
+    @pytest.mark.parametrize("value, other, prob", [
+        ("3", "1", "3/4"),
+        ("3.0", "1", "3/4"),  # an integer weight, though not written as one
+        ("1/3", "2/3", "1/3"),
+        ("0.25", "0.75", "1/4"),
+    ])
+    def test_values(self, value, other, prob):
+        src = parse_source_text("a %s\nb %s\n" % (value, other))
+        assert str(src.prob("a")) == prob
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "probability of 'a' is not positive"),
+        ("1/0", "line 1: bad value '1/0'"),
+        ("abc", "line 1: bad value 'abc'"),
+    ])
+    def test_bad_values(self, value, message):
+        with pytest.raises(ParseError, match="^%s$" % message):
+            parse_source_text("a %s\nb 3\n" % value)
+
 
 class TestHuffmanCommand:
     def test_expected_length_line(self, capsys):

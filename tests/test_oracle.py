@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from prefixcodes import (
+    ClosureResult,
+    CodeTree,
     MonotonicityWitness,
     PrefixCode,
+    SiblingListing,
     Source,
     SwapKind,
     builtin_corpus,
@@ -141,6 +145,102 @@ class TestVerifyTheorems:
         assert not checks[
             "optimal-iff-strongly-monotone-iff-length-equivalent"]
         assert sum(checks.values()) == len(checks) - 1
+
+
+def _failing(source):
+    return {c.name for c in verify_theorems(source).checks if not c.passed}
+
+
+class TestVerifyDetectsCorruptedInputs:
+    """Each check fails when one of its inputs is corrupted, so none is a
+    tautology; each test also names every other check that fails."""
+
+    @pytest.mark.parametrize("names", [
+        ("sibling_property_exhaustive",),
+        # the two listings agree, but not with the merge enumeration
+        ("sibling_property", "sibling_property_exhaustive"),
+    ], ids=["exhaustive", "both"])
+    def test_sibling_listing_flipped_on_one_tree(self, ex3, monkeypatch,
+                                                 names):
+        def flipped(real):
+            calls = []
+
+            def listing(source, tree):
+                found = real(source, tree)
+                calls.append(tree)
+                if len(calls) > 1:
+                    return found
+                return None if found is not None else SiblingListing(())
+            return listing
+
+        for name in names:
+            monkeypatch.setattr(oracle, name, flipped(getattr(oracle, name)))
+        assert _failing(ex3) == {"sibling-property-iff-huffman"}
+
+    @pytest.mark.parametrize("kinds, check", [
+        ({SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY},
+         "huffman-swap-equivalence"),
+        ({SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY},
+         "optimal-swap-equivalence"),
+        ({SwapKind.SAME_ROW},
+         "length-equivalent-iff-same-row-swap-equivalent"),
+    ], ids=["parent-prob", "row-prob", "row"])
+    def test_closure_drops_one_member(self, ex3, monkeypatch, kinds, check):
+        def dropping(source, tree, closure_kinds):
+            result = swap_closure(source, tree, closure_kinds)
+            if closure_kinds != kinds:
+                return result
+            return ClosureResult.of_shapes(result.shapes[:-1],
+                                           result.truncated)
+
+        monkeypatch.setattr(oracle, "swap_closure", dropping)
+        assert _failing(ex3) == {check}
+
+    def test_huffman_tree_not_monotone(self, ex3, monkeypatch):
+        monkeypatch.setattr(oracle, "is_monotone", lambda source, tree: False)
+        assert _failing(ex3) == {"huffman-trees-monotone"}
+
+    def test_huffman_build_not_optimal(self, ex3, monkeypatch):
+        worst = max(enumerate_complete_trees(ex3).members,
+                    key=lambda t: t.expected_length())
+        assert worst.expected_length() > min_expected_length(ex3)
+        monkeypatch.setattr(oracle, "huffman_build", lambda source: worst)
+        assert _failing(ex3) == {"huffman-achieves-minimum"}
+
+    @pytest.mark.parametrize("corrupt, failing", [
+        # no tree reaches the minimum, yet every listed tree is optimal
+        (lambda best, fills: (best - 1, fills),
+         {"huffman-achieves-minimum"}),
+        # one tree reaches the minimum, yet the optimum does not list it
+        (lambda best, fills: (best, fills[1:]),
+         {"optimal-swap-equivalence"}),
+    ], ids=["best", "fills"])
+    def test_optimality_disagrees_with_the_optimum(self, ex3, monkeypatch,
+                                                   corrupt, failing):
+        real = oracle._optimum
+        monkeypatch.setattr(oracle, "_optimum",
+                            lambda source: corrupt(*real(source)))
+        assert _failing(ex3) == failing | {
+            "optimal-iff-strongly-monotone-iff-length-equivalent"}
+
+    def test_enumeration_yields_an_incomplete_tree(self, ex3, monkeypatch):
+        real, extra = oracle.enumerate_complete_trees, []
+
+        def with_incomplete(source):
+            enum = real(source)
+            first = next(enum.members)
+            left, right = first.shape
+            extra.append(CodeTree(source, ((left, None), right)))
+            enum.members = chain([extra[0], first], enum.members)
+            return enum
+
+        monkeypatch.setattr(oracle, "enumerate_complete_trees",
+                            with_incomplete)
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "complete-kraft-sum-one"}
+        assert checks["complete-kraft-sum-one"].detail == (
+            "counterexamples: [%r]" % extra[0].label)
 
 
 class TestBuiltinCorpus:

@@ -119,6 +119,20 @@ def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
                         == shape_label(swapped_shape(tree, move)))
 
 
+def test_closure_carries_its_shapes_and_renders_labels_on_read(ex4):
+    start = huffman_enumerate(ex4)[0]
+    closure = swap_closure(ex4, start, {SwapKind.SAME_ROW,
+                                        SwapKind.SAME_PROBABILITY})
+    assert closure.shapes[0] is start.shape  # recorded in search order
+    labels = tuple(sorted(map(shape_label, closure.shapes)))
+    assert closure.members == labels and len(set(labels)) == len(labels)
+    by_labels = ClosureResult(labels, closure.truncated)
+    assert by_labels.shapes is None
+    assert by_labels == closure and hash(by_labels) == hash(closure)
+    assert by_labels != ClosureResult(labels[1:], closure.truncated)
+    assert by_labels != ClosureResult(labels, not closure.truncated)
+
+
 def test_swapped_shapes_are_equal_iff_their_labels_are(ex4, ex5):
     # the closure reports labels of the shapes the search records
     for source in (ex4, ex5):
