@@ -90,19 +90,14 @@ def _fields(text: str, second: str, kind: str) -> List[Tuple[int, str, str]]:
 def parse_source_text(text: str) -> Source:
     entries = []  # (symbol, value, whether the value is an integer weight)
     for lineno, sym, value in _fields(text, "value", "source"):
-        try:  # where int() takes a value, Fraction() reads the same number
-            entries.append((sym, int(value), True))
-        except ValueError:
-            try:
-                frac = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("line %d: bad value %r"
-                                 % (lineno, value)) from None
-            entries.append((sym, frac,
-                            "/" not in value and frac.denominator == 1))
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("line %d: bad value %r" % (lineno, value)) from None
+        entries.append((sym, frac, "/" not in value and frac.denominator == 1))
     try:
         if all(weight for _, _, weight in entries):
-            return Source.from_weights((s, int(f)) for s, f, _ in entries)
+            return Source.from_weights((s, f.numerator) for s, f, _ in entries)
         return Source((s, f) for s, f, _ in entries)
     except CodeError as exc:
         raise ParseError(str(exc)) from None

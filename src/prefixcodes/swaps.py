@@ -8,17 +8,16 @@ shapes (equal shapes are one object, so no nested tuple is compared,
 which in C recurses once per level): a neighbour is recorded only while
 fewer than `cap` shapes are (the target of an equivalence search always
 is), and a search that skips a neighbour for the cap is truncated.
-`swap_closure` returns the recorded shapes and renders one label per
-shape only when its `members` are read.  Certificate moves are
-serialized as (row, index-in-row) pairs, stable because node ids are
-breadth-first.
+Only `swap_closure` renders labels, one per recorded shape, and it also
+returns the shapes.  Certificate moves are serialized as (row,
+index-in-row) pairs, stable because node ids are breadth-first.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,44 +47,16 @@ _Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
 _Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
 
 
+@dataclass(frozen=True)
 class ClosureResult:
-    """Sorted canonical labels of the trees a closure recorded, and whether
-    the cap cut it short.  A search result also holds `shapes`, the
-    interned shapes in record order, and renders `members` on first read;
-    equality compares `members` and `truncated` only.
-    """
-
-    __slots__ = ("shapes", "truncated", "_members")
-
-    def __init__(self, members: Sequence[str], truncated: bool):
-        self._members: Optional[Tuple[str, ...]] = tuple(members)
-        self.truncated = truncated
-        self.shapes: Optional[Tuple[Shape, ...]] = None
-
-    @classmethod
-    def of_shapes(cls, shapes: Sequence[Shape], truncated: bool
-                  ) -> "ClosureResult":
-        result = cls((), truncated)
-        result._members, result.shapes = None, tuple(shapes)
-        return result
-
-    @property
-    def members(self) -> Tuple[str, ...]:
-        if self._members is None:
-            self._members = tuple(sorted(map(shape_label, self.shapes)))
-        return self._members
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClosureResult)
-                and self.truncated == other.truncated
-                and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.members, self.truncated))
-
-    def __repr__(self) -> str:
-        return "ClosureResult(members=%r, truncated=%r)" % (self.members,
-                                                             self.truncated)
+    """Sorted canonical labels of the trees a closure recorded, whether the
+    cap cut it short, and, from `swap_closure`, the recorded interned
+    shapes in record order (None for a result built from labels alone;
+    equality ignores them)."""
+    members: Tuple[str, ...]
+    truncated: bool
+    shapes: Optional[Tuple[Shape, ...]] = field(default=None, compare=False,
+                                                repr=False)
 
 
 def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
@@ -255,8 +226,9 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
     if tree.source != source:
         raise AlphabetMismatch("tree is not over the given source")
     parent, _, truncated = _search(tree, kinds, cap)
-    return ClosureResult.of_shapes([shape for shape, _, _ in parent.values()],
-                                   truncated)
+    shapes = tuple(shape for shape, _, _ in parent.values())
+    return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated,
+                         shapes)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,

@@ -21,6 +21,7 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
+from prefixcodes.core import shape_label
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import catalan, strong_monotonicity_scan
 from conftest import load_code, load_tree, tree_for_label
@@ -190,8 +191,9 @@ class TestVerifyDetectsCorruptedInputs:
             result = swap_closure(source, tree, closure_kinds)
             if closure_kinds != kinds:
                 return result
-            return ClosureResult.of_shapes(result.shapes[:-1],
-                                           result.truncated)
+            shapes = result.shapes[:-1]
+            return ClosureResult(tuple(sorted(map(shape_label, shapes))),
+                                 result.truncated, shapes)
 
         monkeypatch.setattr(oracle, "swap_closure", dropping)
         assert _failing(ex3) == {check}

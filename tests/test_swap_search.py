@@ -119,7 +119,7 @@ def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
                         == shape_label(swapped_shape(tree, move)))
 
 
-def test_closure_carries_its_shapes_and_renders_labels_on_read(ex4):
+def test_closure_carries_its_shapes_in_record_order(ex4):
     start = huffman_enumerate(ex4)[0]
     closure = swap_closure(ex4, start, {SwapKind.SAME_ROW,
                                         SwapKind.SAME_PROBABILITY})
@@ -131,6 +131,8 @@ def test_closure_carries_its_shapes_and_renders_labels_on_read(ex4):
     assert by_labels == closure and hash(by_labels) == hash(closure)
     assert by_labels != ClosureResult(labels[1:], closure.truncated)
     assert by_labels != ClosureResult(labels, not closure.truncated)
+    with pytest.raises(AttributeError):
+        closure.truncated = not closure.truncated
 
 
 def test_swapped_shapes_are_equal_iff_their_labels_are(ex4, ex5):
