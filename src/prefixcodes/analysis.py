@@ -58,9 +58,9 @@ def is_complete(tree: CodeTree) -> bool:
 
 def is_monotone(source: Source, tree: CodeTree) -> bool:
     """True iff no node out-weighs any node on a strictly higher row."""
-    rows = tree.rows()
-    row_min = [min(tree.node(i).weight for i in row) for row in rows]
-    row_max = [max(tree.node(i).weight for i in row) for row in rows]
+    rows, weights = tree.rows(), tree.weights
+    row_min = [min(weights[i] for i in row) for row in rows]
+    row_max = [max(weights[i] for i in row) for row in rows]
     running_min = row_min[0]
     for depth in range(1, len(rows)):
         if row_max[depth] > running_min:

@@ -91,6 +91,8 @@ def parse_source_text(text: str) -> Source:
     entries = []  # (symbol, value, whether the value is an integer weight)
     for lineno, sym, value in _fields(text, "value", "source"):
         try:
+            if "_" in value:  # `Fraction` reads digit separators from 3.11 on
+                raise ValueError(value)
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError("line %d: bad value %r" % (lineno, value)) from None
@@ -124,17 +126,17 @@ def _load_code(path: str) -> PrefixCode:
 def tree_to_dot(tree: CodeTree) -> str:
     """Graphviz rendering: probabilities on nodes, 0/1 on edges."""
     lines = ["digraph codetree {", "  node [shape=circle];"]
-    for node in tree.nodes:
-        if node.is_leaf:
+    for nid, symbol in enumerate(tree.symbols):
+        if symbol is not None:
             lines.append('  n%d [shape=box label="%s\\n%s"];'
-                         % (node.id, node.symbol, node.prob))
+                         % (nid, symbol, tree.prob(nid)))
         else:
-            lines.append('  n%d [label="%s"];' % (node.id, node.prob))
-    for node in tree.nodes:
-        if node.left is not None:
-            lines.append('  n%d -> n%d [label="0"];' % (node.id, node.left))
-        if node.right is not None:
-            lines.append('  n%d -> n%d [label="1"];' % (node.id, node.right))
+            lines.append('  n%d [label="%s"];' % (nid, tree.prob(nid)))
+    for nid, (left, right) in enumerate(zip(tree.lefts, tree.rights)):
+        if left is not None:
+            lines.append('  n%d -> n%d [label="0"];' % (nid, left))
+        if right is not None:
+            lines.append('  n%d -> n%d [label="1"];' % (nid, right))
     lines.append("}")
     return "\n".join(lines)
 

@@ -9,16 +9,18 @@ length is handed back to the caller and in the merges of `huffman_build`.
 
 A code tree is given as a nested "shape" (leaf = symbol string,
 internal node = pair of child shapes, a missing child = None) and is
-stored as a flat node arena with ids assigned in breadth-first order,
-so that (row, index-in-row) addressing is stable across rebuilds of the
-same tree.  Each arena node holds the subtree shape rooted at it, so a
-rebuild that changes a few subtrees reuses the shapes of the rest.  No
-function here recurses, so trees of any depth work.
+stored as a node arena: parallel tuples (parent, children, depth,
+weight, symbol, subtree shape) indexed by node ids assigned in
+breadth-first order, so that (row, index-in-row) addressing is stable
+across rebuilds of the same tree, a parent's id is below its
+children's and each row is a run of ids.  Since each node's subtree
+shape is kept, a rebuild that changes a few subtrees reuses the shapes
+of the rest.  No function here recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -166,37 +168,6 @@ class PrefixCode:
         return "PrefixCode(%s)" % body
 
 
-class Node:
-    """One arena slot of a CodeTree; ids are breadth-first positions.
-
-    `weight` is the node's probability as an integer over the source's
-    `den`; `prob` gives it back as a Fraction.  `shape` is the subtree
-    shape rooted at the node.
-    """
-
-    __slots__ = ("id", "parent", "left", "right", "depth", "weight", "symbol",
-                 "den", "shape")
-
-    def __init__(self, id, parent, depth, weight, symbol, den, shape):
-        self.id = id
-        self.parent = parent
-        self.left = None
-        self.right = None
-        self.depth = depth
-        self.weight = weight
-        self.symbol = symbol
-        self.den = den
-        self.shape = shape
-
-    @property
-    def prob(self) -> Fraction:
-        return Fraction(self.weight, self.den)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
-
-
 def shape_label(shape: Shape) -> str:
     """Nested-pair rendering; identical trees <=> identical labels."""
     parts = []
@@ -215,22 +186,26 @@ class CodeTree:
     """A rooted binary code tree over a source, with integer node weights.
 
     Node ids are assigned in breadth-first, left-to-right order, so id 0
-    is always the root and `rows()[r]` lists row r left to right.
+    is always the root and `rows()[r]` lists row r left to right.  Node
+    `i` is read from parallel tuples: `parents[i]`, `lefts[i]` and
+    `rights[i]` (None for the root's parent and a missing child),
+    `depths[i]`, `weights[i]` (integers over the source's `den`),
+    `symbols[i]` (None for an internal node) and `shapes[i]`, the
+    subtree shape rooted at it.
     """
 
-    __slots__ = ("source", "shape", "nodes", "root", "_label", "_rows",
+    __slots__ = ("source", "shape", "parents", "lefts", "rights", "depths",
+                 "weights", "symbols", "shapes", "root", "_label", "_rows",
                  "_complete", "_leaf_id")
 
     def __init__(self, source: Source, shape: Shape):
         if isinstance(shape, str):
             raise InvalidTree("the root of a code tree cannot be a leaf")
-        weight_of, den = source.weight_of, source.den
-        nodes = []
+        weight_of = source.weight_of
+        shapes, parents, depths = [shape], [None], [0]
+        lefts, rights, symbols, weights = [], [], [], []
         leaf_id = {}
-        queue = deque([(shape, None, 0)])  # (shape, parent id, depth)
-        while queue:
-            shp, parent, depth = queue.popleft()
-            nid = len(nodes)
+        for nid, shp in enumerate(shapes):  # breadth-first: the lists grow
             if isinstance(shp, str):
                 if shp in leaf_id:
                     raise InvalidTree("duplicate leaf symbols")
@@ -238,31 +213,46 @@ class CodeTree:
                     raise InvalidTree(
                         "tree leaves do not match the source alphabet")
                 leaf_id[shp] = nid
-                nodes.append(Node(nid, parent, depth, weight_of[shp], shp,
-                                  den, shp))
+                lefts.append(None)
+                rights.append(None)
+                symbols.append(shp)
+                weights.append(weight_of[shp])
                 continue
             if not (isinstance(shp, tuple) and len(shp) == 2):
                 raise InvalidTree("tree node is neither a symbol nor a pair")
             left, right = shp
-            if left is None and right is None:
-                raise InvalidTree("internal node with no children")
-            node = Node(nid, parent, depth, 0, None, den, shp)
-            # the queue holds ids nid+1 .. nid+len(queue) already
-            if left is not None:
-                node.left = nid + 1 + len(queue)
-                queue.append((left, nid, depth + 1))
-            if right is not None:
-                node.right = nid + 1 + len(queue)
-                queue.append((right, nid, depth + 1))
-            nodes.append(node)
+            symbols.append(None)
+            weights.append(0)
+            depth = depths[nid] + 1
+            if left is None:
+                if right is None:
+                    raise InvalidTree("internal node with no children")
+                lefts.append(None)
+            else:
+                lefts.append(len(shapes))
+                shapes.append(left)
+                parents.append(nid)
+                depths.append(depth)
+            if right is None:
+                rights.append(None)
+            else:
+                rights.append(len(shapes))
+                shapes.append(right)
+                parents.append(nid)
+                depths.append(depth)
         if len(leaf_id) != len(weight_of):
             raise InvalidTree("tree leaves do not match the source alphabet")
-        for node in reversed(nodes):  # children have larger ids than parents
-            if node.parent is not None:
-                nodes[node.parent].weight += node.weight
+        for nid in range(len(shapes) - 1, 0, -1):  # children after parents
+            weights[parents[nid]] += weights[nid]
         self.source = source
         self.shape = shape
-        self.nodes: Tuple[Node, ...] = tuple(nodes)
+        self.parents: Tuple[Optional[int], ...] = tuple(parents)
+        self.lefts: Tuple[Optional[int], ...] = tuple(lefts)
+        self.rights: Tuple[Optional[int], ...] = tuple(rights)
+        self.depths: Tuple[int, ...] = tuple(depths)
+        self.weights: Tuple[int, ...] = tuple(weights)
+        self.symbols: Tuple[Optional[str], ...] = tuple(symbols)
+        self.shapes: Tuple[Shape, ...] = tuple(shapes)
         self.root = 0
         self._label = None
         self._rows = None
@@ -276,16 +266,15 @@ class CodeTree:
         return self._label
 
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        if self._rows is None:
-            depth_max = max(n.depth for n in self.nodes)
-            rows = [[] for _ in range(depth_max + 1)]
-            for n in self.nodes:  # id order within a row = left-to-right
-                rows[n.depth].append(n.id)
-            self._rows = tuple(tuple(r) for r in rows)
+        if self._rows is None:  # breadth-first: each row is a run of ids
+            depths = self.depths
+            ends = [bisect_right(depths, d) for d in range(depths[-1] + 1)]
+            self._rows = tuple(tuple(range(start, end))
+                               for start, end in zip([0] + ends, ends))
         return self._rows
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
+    def prob(self, node_id: int) -> Fraction:
+        return Fraction(self.weights[node_id], self.source.den)
 
     def leaf_id(self, symbol: str) -> int:
         try:
@@ -294,36 +283,36 @@ class CodeTree:
             raise UnknownSymbol(symbol) from None
 
     def depth_of(self, symbol: str) -> int:
-        return self.nodes[self.leaf_id(symbol)].depth
+        return self.depths[self.leaf_id(symbol)]
 
     @property
     def max_depth(self) -> int:
-        return len(self.rows()) - 1
+        return self.depths[-1]
 
     @property
     def internal_ids(self) -> Tuple[int, ...]:
-        return tuple(n.id for n in self.nodes if not n.is_leaf)
+        return tuple(i for i, s in enumerate(self.symbols) if s is None)
 
     @property
     def is_complete(self) -> bool:
-        if self._complete is None:  # nothing changes a tree's nodes
-            self._complete = all(n.is_leaf or None not in (n.left, n.right)
-                                 for n in self.nodes)
+        if self._complete is None:  # a leaf has no child; nor has a gap
+            self._complete = (self.lefts.count(None) + self.rights.count(None)
+                              == 2 * len(self._leaf_id))
         return self._complete
 
     def path(self, node_id: int) -> str:
         """Bit path from the root to a node (0 = left edge, 1 = right edge)."""
-        bits = []
-        node = self.nodes[node_id]
-        while node.parent is not None:
-            parent = self.nodes[node.parent]
-            bits.append("0" if parent.left == node.id else "1")
-            node = parent
+        bits, parents, lefts = [], self.parents, self.lefts
+        parent = parents[node_id]
+        while parent is not None:
+            bits.append("0" if lefts[parent] == node_id else "1")
+            node_id, parent = parent, parents[parent]
         return "".join(reversed(bits))
 
     def expected_length(self) -> Fraction:
-        return Fraction(sum(n.weight * n.depth for n in self.nodes
-                            if n.symbol is not None), self.source.den)
+        weights, depths = self.weights, self.depths
+        return Fraction(sum(weights[i] * depths[i]
+                            for i in self._leaf_id.values()), self.source.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CodeTree) and self.source == other.source
@@ -344,15 +333,16 @@ ShapeTable = Dict[object, Shape]
 def interned(tree: CodeTree, table: ShapeTable) -> Shape:
     """Enter `tree`'s shapes in `table` (its own, where the table holds no
     equal one) and return the root's."""
-    held: Dict[Optional[int], Shape] = {}
-    for node in reversed(tree.nodes):  # children have larger ids
-        shape = key = node.shape
-        if node.symbol is None:
-            left, right = held.get(node.left), held.get(node.right)
+    shapes, lefts, rights = tree.shapes, tree.lefts, tree.rights
+    held: Dict[Optional[int], Shape] = {None: None}
+    for nid in range(len(shapes) - 1, -1, -1):  # children after parents
+        shape = key = shapes[nid]
+        if tree.symbols[nid] is None:
+            left, right = held[lefts[nid]], held[rights[nid]]
             key = (id(left), id(right))
             if left is not shape[0] or right is not shape[1]:
                 shape = (left, right)
-        held[node.id] = table.setdefault(key, shape)
+        held[nid] = table.setdefault(key, shape)
     return held[0]
 
 
@@ -387,10 +377,9 @@ def tree_from_code(source: Source, code) -> CodeTree:
 
 def code_from_tree(tree: CodeTree) -> PrefixCode:
     """Read codewords off a tree: left edges are 0, right edges are 1."""
-    nodes, paths = tree.nodes, [""]
-    for node in nodes[1:]:  # breadth-first ids: each parent's path is ready
-        bit = "0" if nodes[node.parent].left == node.id else "1"
-        paths.append(paths[node.parent] + bit)
+    lefts, paths = tree.lefts, [""]
+    for nid, parent in enumerate(tree.parents[1:], 1):  # parents come first
+        paths.append(paths[parent] + ("0" if lefts[parent] == nid else "1"))
     return PrefixCode({s: paths[tree.leaf_id(s)] for s in tree.source.symbols})
 
 

@@ -6,7 +6,8 @@ import enum
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from operator import itemgetter
+from typing import List, Optional, Tuple
 
 from .core import CodeTree, ShapeTable, Source, shape_label
 from .errors import CapExceeded, NotComplete, NotOptimal
@@ -125,14 +126,15 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     return tuple(CodeTree(source, s) for s in sorted(shapes, key=shape_label))
 
 
-def _sibling_pairs(tree: CodeTree):
-    """(hi, lo) child pairs of each internal node, hi >= lo by probability."""
-    nodes, pairs = tree.nodes, []
-    for node in nodes:
-        if node.symbol is None:
-            left, right = nodes[node.left], nodes[node.right]
-            pairs.append((left, right) if left.weight >= right.weight
-                         else (right, left))
+def _sibling_pairs(tree: CodeTree) -> List[Tuple[int, int, int, int]]:
+    """(hi weight, lo weight, hi id, lo id) for the two children of each
+    internal node of a complete tree, hi >= lo by probability."""
+    weights, pairs = tree.weights, []
+    for left, right in zip(tree.lefts, tree.rights):
+        if left is not None:  # complete: an internal node has both
+            w_left, w_right = weights[left], weights[right]
+            pairs.append((w_left, w_right, left, right) if w_left >= w_right
+                         else (w_right, w_left, right, left))
     return pairs
 
 
@@ -148,37 +150,47 @@ def sibling_property(source: Source, tree: CodeTree
     if not tree.is_complete:
         raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
-    pairs.sort(key=lambda hl: (hl[0].weight, hl[1].weight), reverse=True)
-    for (_, lo), (hi, _) in zip(pairs, pairs[1:]):
-        if lo.weight < hi.weight:
+    pairs.sort(key=itemgetter(0, 1), reverse=True)  # stable: ties keep ids
+    for (_, lo, _, _), (hi, _, _, _) in zip(pairs, pairs[1:]):
+        if lo < hi:
             return None
-    order = []
-    for hi, lo in pairs:
-        order.extend((hi.id, lo.id))
-    return SiblingListing(tuple(order))
+    return SiblingListing(tuple(i for _, _, hi, lo in pairs for i in (hi, lo)))
 
 
 def sibling_property_exhaustive(source: Source, tree: CodeTree
                                 ) -> Optional[SiblingListing]:
-    """Backtracking search over all tied pair orderings; test oracle."""
+    """Backtracking search over all tied pair orderings; test oracle.
+
+    Whether a partial listing extends depends only on the weights of the
+    pairs left, so each level tries one pair per (hi, lo) weight pair.
+    """
     if not tree.is_complete:
         raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
-
-    def search(remaining, prev_lo, acc):
-        if not remaining:
-            return acc
-        for k, (hi, lo) in enumerate(remaining):
-            if prev_lo is not None and hi.weight > prev_lo:
-                continue
-            found = search(remaining[:k] + remaining[k + 1:], lo.weight,
-                           acc + [hi.id, lo.id])
-            if found is not None:
-                return found
-        return None
-
-    order = search(pairs, None, [])
-    return None if order is None else SiblingListing(tuple(order))
+    count, top = len(pairs), tree.weights[0]  # the root outweighs any pair
+    same, seen = [], {}  # same[k]: bits of the pairs before k with k's weights
+    for k, (hi, lo, _, _) in enumerate(pairs):
+        same.append(seen.get((hi, lo), 0))
+        seen[hi, lo] = same[-1] | 1 << k
+    picked: List[int] = []  # the pair placed at each level so far
+    left, prev_lo, k = (1 << count) - 1, top, 0  # bits of the pairs left
+    while True:
+        while k < count and not (left >> k & 1 and pairs[k][0] <= prev_lo
+                                 and not same[k] & left):
+            k += 1
+        if k < count:  # place pair k, then go one level down
+            picked.append(k)
+            left ^= 1 << k
+            if not left:
+                return SiblingListing(tuple(i for k in picked
+                                            for i in pairs[k][2:]))
+            prev_lo, k = pairs[k][1], 0
+        elif picked:  # take back this level's pair, try the next one
+            k = picked.pop()
+            left |= 1 << k
+            prev_lo, k = pairs[picked[-1]][1] if picked else top, k + 1
+        else:
+            return None
 
 
 def is_huffman(source: Source, tree: CodeTree) -> bool:
@@ -202,9 +214,8 @@ def row_sorted(source: Source, tree: CodeTree) -> CodeTree:
         feed = iter(below)  # (weight, shape) of the row below, reordered
         current = []
         for nid in row:
-            node = tree.node(nid)
-            if node.is_leaf:
-                current.append((node.weight, node.symbol))
+            if tree.symbols[nid] is not None:
+                current.append((tree.weights[nid], tree.symbols[nid]))
             else:
                 (w_left, left), (w_right, right) = next(feed), next(feed)
                 current.append((w_left + w_right, (left, right)))

@@ -220,18 +220,16 @@ class VerificationReport:
 
 def _tally(tree: CodeTree, index: Dict[str, int]
            ) -> Tuple[Tuple[int, ...], int, bool]:
-    """One pass over `tree.nodes`: its codeword lengths in source order,
+    """One pass over `tree`'s leaves: its codeword lengths in source order,
     its weighted depth sum (expected length times `den`) and whether its
     Kraft sum is 1."""
-    nodes = tree.nodes
-    top = nodes[-1].depth  # ids are breadth-first: the last node is deepest
+    top = tree.depths[-1]  # ids are breadth-first: the last node is deepest
     lengths = [0] * len(index)
     total = kraft = 0
-    for node in nodes:
-        if node.symbol is not None:
-            depth = node.depth
-            lengths[index[node.symbol]] = depth
-            total += node.weight * depth
+    for symbol, depth, weight in zip(tree.symbols, tree.depths, tree.weights):
+        if symbol is not None:
+            lengths[index[symbol]] = depth
+            total += weight * depth
             kraft += 1 << (top - depth)
     return tuple(lengths), total, kraft == 1 << top
 

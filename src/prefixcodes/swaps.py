@@ -16,6 +16,7 @@ index-in-row) pairs, stable because node ids are breadth-first.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
@@ -61,60 +62,61 @@ class ClosureResult:
 
 def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
     """True iff u is a (strict or equal) ancestor of v."""
-    while v is not None:
-        if v == u:
-            return True
-        v = tree.nodes[v].parent
-    return False
+    parents, depths = tree.parents, tree.depths
+    while depths[v] > depths[u]:
+        v = parents[v]
+    return v == u
 
 
 def _check_kind(tree: CodeTree, move: SwapMove) -> None:
-    a, b = tree.node(move.u), tree.node(move.v)
+    u, v = move.u, move.v
     if move.kind is SwapKind.SAME_PARENT:
-        if a.parent is None or a.parent != b.parent:
-            raise KindViolation("nodes %d and %d are not siblings"
-                                % (move.u, move.v))
+        if tree.parents[u] is None or tree.parents[u] != tree.parents[v]:
+            raise KindViolation("nodes %d and %d are not siblings" % (u, v))
     elif move.kind is SwapKind.SAME_ROW:
-        if a.depth != b.depth:
+        if tree.depths[u] != tree.depths[v]:
             raise KindViolation("nodes %d and %d are on different rows"
-                                % (move.u, move.v))
-    else:
-        if a.weight != b.weight:
-            raise KindViolation("nodes %d and %d differ in probability"
-                                % (move.u, move.v))
+                                % (u, v))
+    elif tree.weights[u] != tree.weights[v]:
+        raise KindViolation("nodes %d and %d differ in probability" % (u, v))
 
 
 def swapped_shape(tree: CodeTree, move: SwapMove,
                   intern: Optional[_Intern] = None) -> Shape:
     """The shape of the tree after one checked swap; builds no tree.
 
-    One walk up the two endpoints' root paths both checks the move and
-    finds the nodes to rebuild.  Given `intern`, each rebuilt shape is
-    replaced by `intern((id(left), id(right)), shape)`: the `get` of a
-    table holding `tree`'s shapes puts in the equal shapes it holds, and
-    its `setdefault` also enters the others.
+    The deeper endpoint is lifted to the other's row: if it meets the
+    other there, one endpoint is an ancestor of the other.  Once the
+    move is checked, the two endpoints climb to their lowest common
+    ancestor (the deeper first, then both in step) and it climbs to the
+    root, rebuilding each shape passed once.  Given `intern`, each
+    rebuilt shape is replaced by `intern((id(left), id(right)), shape)`:
+    the `get` of a table holding `tree`'s shapes puts in the equal shapes
+    it holds, and its `setdefault` also enters the others.
     """
-    u, v, nodes = move.u, move.v, tree.nodes
+    u, v = move.u, move.v
+    parents, lefts, shapes = tree.parents, tree.lefts, tree.shapes
     if u == v:
         raise AncestryViolation("cannot swap a node with itself")
-    if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
+    if not (0 <= u < len(shapes) and 0 <= v < len(shapes)):
         raise AncestryViolation("node id out of range")
-    above = set()  # proper ancestors of u and v
-    for nid in (nodes[u].parent, nodes[v].parent):
-        while nid is not None and nid not in above:
-            above.add(nid)
-            nid = nodes[nid].parent
-    if min(u, v) in above:  # ids are breadth-first: the larger is not above
+    if _is_ancestor(tree, min(u, v), max(u, v)):  # ids are breadth-first
         raise AncestryViolation("one swap endpoint is a descendant of the other")
     _check_kind(tree, move)
-    shapes = {u: nodes[v].shape, v: nodes[u].shape}
-    for nid in sorted(above, reverse=True):  # children have larger ids
-        node = nodes[nid]
-        left, right = node.shape
-        shape = (shapes.get(node.left, left), shapes.get(node.right, right))
-        shapes[nid] = shape if intern is None else intern(
-            (id(shape[0]), id(shape[1])), shape)
-    return shapes[0]
+    a, new_a, b, new_b = u, shapes[v], v, shapes[u]
+    while a:  # up to the root; b is 0, the root, once the walks have met
+        if a < b:  # step the deeper node, or the right one on a row
+            a, new_a, b, new_b = b, new_b, a, new_a
+        parent = parents[a]
+        if parent == parents[b]:  # the common ancestor; b < a: b is left
+            left, right, b = new_b, new_a, 0
+        elif lefts[parent] == a:
+            left, right = new_a, shapes[parent][1]
+        else:
+            left, right = shapes[parent][0], new_a
+        a, new_a = parent, (left, right) if intern is None else intern(
+            (id(left), id(right)), (left, right))
+    return new_a
 
 
 def node_swap(tree: CodeTree, move: SwapMove,
@@ -132,19 +134,20 @@ def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
     parent_ok = SwapKind.SAME_PARENT in kinds
     row_ok = SwapKind.SAME_ROW in kinds
     prob_ok = SwapKind.SAME_PROBABILITY in kinds
+    parents, depths, weights = tree.parents, tree.depths, tree.weights
+    # ids are breadth-first, so rows are runs of ids and only u can be an
+    # ancestor of v; without prob, v stops at the end of u's row
     moves = []
-    nodes = tree.nodes
-    for u in range(1, len(nodes)):
-        a = nodes[u]
-        for v in range(u + 1, len(nodes)):
-            b = nodes[v]
-            if parent_ok and a.parent == b.parent:
+    for u in range(1, len(depths)):
+        pu, du, wu = parents[u], depths[u], weights[u]
+        for v in range(u + 1, len(depths) if prob_ok
+                       else bisect_right(depths, du)):
+            if parent_ok and parents[v] == pu:
                 kind = SwapKind.SAME_PARENT
-            elif row_ok and a.depth == b.depth:
+            elif row_ok and depths[v] == du:
                 kind = SwapKind.SAME_ROW
-            # ids are breadth-first, so only u can be an ancestor of v
-            elif prob_ok and a.weight == b.weight and (
-                    a.depth == b.depth or not _is_ancestor(tree, u, v)):
+            elif prob_ok and weights[v] == wu and (
+                    depths[v] == du or not _is_ancestor(tree, u, v)):
                 kind = SwapKind.SAME_PROBABILITY
             else:
                 continue
@@ -154,11 +157,9 @@ def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
 
 def move_to_text(tree: CodeTree, move: SwapMove) -> str:
     """Serialize a move as 'kind row_u idx_u row_v idx_v'."""
-    rows = tree.rows()
-    a, b = tree.node(move.u), tree.node(move.v)
-    return "%s %d %d %d %d" % (move.kind.value,
-                               a.depth, rows[a.depth].index(move.u),
-                               b.depth, rows[b.depth].index(move.v))
+    rows, du, dv = tree.rows(), tree.depths[move.u], tree.depths[move.v]
+    return "%s %d %d %d %d" % (move.kind.value, du, rows[du].index(move.u),
+                               dv, rows[dv].index(move.v))
 
 
 def move_from_text(tree: CodeTree, text: str) -> SwapMove:

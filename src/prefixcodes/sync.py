@@ -31,13 +31,12 @@ def decoder_step(tree: CodeTree, state: int, bit: int) -> int:
     """One decoding step: follow the bit edge, resetting at leaves."""
     if not tree.is_complete:
         raise NotComplete("the decoder automaton needs a complete tree")
-    node = tree.node(state)
-    if node.is_leaf:
+    if tree.symbols[state] is not None:
         raise NotInternal("node %d is a leaf" % state)
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1, not %r" % bit)
-    child = node.left if bit == 0 else node.right
-    return tree.root if tree.node(child).is_leaf else child
+    child = (tree.lefts if bit == 0 else tree.rights)[state]
+    return tree.root if tree.symbols[child] is not None else child
 
 
 def run_string(tree: CodeTree, state: int, bits: str) -> int:

@@ -1,6 +1,7 @@
 import pathlib
 import random
 import re
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.cli import parse_code_text, parse_source_text
+from prefixcodes.errors import InvalidTree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,6 +48,66 @@ def tree_for_label(source: Source, label: str) -> CodeTree:
             stack.append(token)
     (shape,) = stack
     return CodeTree(source, shape)
+
+
+class Node:
+    """One slot of the reference arena: a node object per tree node."""
+
+    __slots__ = ("id", "parent", "left", "right", "depth", "weight", "symbol",
+                 "shape")
+
+    def __init__(self, id, parent, depth, weight, symbol, shape):
+        self.id = id
+        self.parent = parent
+        self.left = None
+        self.right = None
+        self.depth = depth
+        self.weight = weight
+        self.symbol = symbol
+        self.shape = shape
+
+
+def reference_arena(source: Source, shape):
+    """The node arena `CodeTree` stored as one `Node` per tree node, built
+    from a breadth-first queue, with the same checks in the same order."""
+    if isinstance(shape, str):
+        raise InvalidTree("the root of a code tree cannot be a leaf")
+    weight_of = source.weight_of
+    nodes = []
+    leaf_id = {}
+    queue = deque([(shape, None, 0)])  # (shape, parent id, depth)
+    while queue:
+        shp, parent, depth = queue.popleft()
+        nid = len(nodes)
+        if isinstance(shp, str):
+            if shp in leaf_id:
+                raise InvalidTree("duplicate leaf symbols")
+            if shp not in weight_of:
+                raise InvalidTree(
+                    "tree leaves do not match the source alphabet")
+            leaf_id[shp] = nid
+            nodes.append(Node(nid, parent, depth, weight_of[shp], shp, shp))
+            continue
+        if not (isinstance(shp, tuple) and len(shp) == 2):
+            raise InvalidTree("tree node is neither a symbol nor a pair")
+        left, right = shp
+        if left is None and right is None:
+            raise InvalidTree("internal node with no children")
+        node = Node(nid, parent, depth, 0, None, shp)
+        # the queue holds ids nid+1 .. nid+len(queue) already
+        if left is not None:
+            node.left = nid + 1 + len(queue)
+            queue.append((left, nid, depth + 1))
+        if right is not None:
+            node.right = nid + 1 + len(queue)
+            queue.append((right, nid, depth + 1))
+        nodes.append(node)
+    if len(leaf_id) != len(weight_of):
+        raise InvalidTree("tree leaves do not match the source alphabet")
+    for node in reversed(nodes):  # children have larger ids than parents
+        if node.parent is not None:
+            nodes[node.parent].weight += node.weight
+    return nodes
 
 
 def swapped_code(tree, move) -> PrefixCode:

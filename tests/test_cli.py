@@ -63,6 +63,10 @@ class TestParsers:
         ("-1", "probability of 'a' is not positive"),
         ("1/0", "line 1: bad value '1/0'"),
         ("abc", "line 1: bad value 'abc'"),
+        # digit separators, which `Fraction` reads only from Python 3.11 on
+        ("1_000", "line 1: bad value '1_000'"),
+        ("1/1_0", "line 1: bad value '1/1_0'"),
+        ("0.2_5", "line 1: bad value '0.2_5'"),
     ])
     def test_bad_values(self, value, message):
         with pytest.raises(ParseError, match="^%s$" % message):

@@ -29,6 +29,7 @@ from conftest import (
     load_code,
     load_source,
     load_tree,
+    reference_arena,
 )
 
 
@@ -133,15 +134,16 @@ class TestCodeTree:
             "no-children", "triple", "int-child", "none-root",
             "one-tuple-child", "list-root", "list-child"])
     def test_rejects_malformed_shape(self, shape, message):
-        with pytest.raises(InvalidTree, match="^%s$" % message):
-            CodeTree(self.ABC, shape)
+        for build in (CodeTree, reference_arena):
+            with pytest.raises(InvalidTree, match="^%s$" % message):
+                build(self.ABC, shape)
 
 
 class TestTreeFromCode:
     def test_ex1_h1(self, ex1):
         tree = tree_from_code(ex1, load_code("ex1_h1.code"))
         assert tree.label == "(a,(b,(c,d)))"
-        assert tree.node(tree.root).prob == 1
+        assert tree.prob(tree.root) == 1
 
     def test_two_leaves(self):
         src = Source([("x", Fraction(1, 2)), ("y", Fraction(1, 2))])
@@ -166,11 +168,10 @@ class TestTreeFromCode:
 
     def test_node_probability_consistency(self, ex1):
         tree = tree_from_code(ex1, load_code("ex1_h1.code"))
-        for node in tree.nodes:
-            if not node.is_leaf:
-                kids = [tree.node(c).prob
-                        for c in (node.left, node.right) if c is not None]
-                assert node.prob == sum(kids)
+        for nid in tree.internal_ids:
+            kids = [tree.prob(c) for c in (tree.lefts[nid], tree.rights[nid])
+                    if c is not None]
+            assert tree.prob(nid) == sum(kids)
 
 
 class TestCodeFromTree:

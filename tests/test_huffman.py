@@ -166,9 +166,9 @@ class TestEnumerate:
     def test_equal_subtrees_are_one_shape(self, ex2):
         # the search interns every merged subtree, so across all trees it
         # returns, internal nodes with equal labels hold one shape object
-        shapes = {id(node.shape): node.shape
-                  for tree in huffman_enumerate(ex2) for node in tree.nodes
-                  if node.symbol is None}
+        shapes = {id(tree.shapes[nid]): tree.shapes[nid]
+                  for tree in huffman_enumerate(ex2)
+                  for nid in tree.internal_ids}
         labels = {shape_label(shape) for shape in shapes.values()}
         assert len(shapes) == len(labels) == 37_872
 
@@ -184,13 +184,12 @@ class TestSiblingProperty:
         listing = sibling_property(ex3, tree)
         assert listing is not None
         # non-increasing probabilities, siblings adjacent
-        probs = [tree.node(i).prob for i in listing.order]
+        probs = [tree.prob(i) for i in listing.order]
         assert probs == sorted(probs, reverse=True)
-        assert set(listing.order) == {n.id for n in tree.nodes
-                                      if n.parent is not None}
+        assert set(listing.order) == set(range(1, len(tree.parents)))
         for k in range(0, len(listing.order), 2):
             u, v = listing.order[k], listing.order[k + 1]
-            assert tree.node(u).parent == tree.node(v).parent
+            assert tree.parents[u] == tree.parents[v]
 
     def test_ex3_c_has_none(self, ex3):
         _, tree = load_tree("ex3.src", "ex3_c.code")

@@ -25,6 +25,7 @@ from conftest import (
     code_by_paths,
     fold_decoder_step,
     kraft_sum_by_fractions,
+    reference_arena,
     swapped_code,
 )
 
@@ -96,8 +97,8 @@ def test_tree_code_round_trip(tree):
     again = tree_from_code(tree.source, code)
     assert again.label == tree.label
     assert code_from_tree(again) == code
-    for node in tree.nodes:
-        assert node.prob == Fraction(node.weight, tree.source.den)
+    for nid, weight in enumerate(tree.weights):
+        assert tree.prob(nid) == Fraction(weight, tree.source.den)
     assert tree.expected_length() == expected_length(tree.source, code)
 
 
@@ -167,3 +168,18 @@ def test_run_string_is_a_fold_of_decoder_step(tree, data):
     for state in tree.internal_ids:
         assert (run_string(tree, state, bits)
                 == fold_decoder_step(tree, state, bits))
+
+
+@given(any_trees())
+@settings(max_examples=120, deadline=None)
+def test_arena_matches_node_objects(tree):
+    nodes = reference_arena(tree.source, tree.shape)
+    assert tree.parents == tuple(n.parent for n in nodes)
+    assert tree.lefts == tuple(n.left for n in nodes)
+    assert tree.rights == tuple(n.right for n in nodes)
+    assert tree.depths == tuple(n.depth for n in nodes)
+    assert tree.weights == tuple(n.weight for n in nodes)
+    assert tree.symbols == tuple(n.symbol for n in nodes)
+    assert all(a is n.shape for a, n in zip(tree.shapes, nodes))
+    assert tree.is_complete == all(
+        n.symbol is not None or None not in (n.left, n.right) for n in nodes)

@@ -39,7 +39,7 @@ class TestNodeSwap:
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
         _, h2 = load_tree("ex1.src", "ex1_h2.code")
         b = h1.leaf_id("b")
-        sibling = h1.node(h1.node(b).parent).right
+        sibling = h1.rights[h1.parents[b]]
         out = node_swap(h1, SwapMove(b, sibling, SwapKind.SAME_PARENT))
         assert out.label == h2.label
 
@@ -53,9 +53,9 @@ class TestNodeSwap:
     def test_ex5_cross_row_probability_swap(self, ex5):
         _, h1 = load_tree("ex5.src", "ex5_h1.code")
         a = h1.leaf_id("a")
-        parent_c = h1.node(h1.leaf_id("c")).parent
-        assert h1.node(a).prob == h1.node(parent_c).prob == Fraction(1, 3)
-        assert h1.node(a).depth != h1.node(parent_c).depth
+        parent_c = h1.parents[h1.leaf_id("c")]
+        assert h1.prob(a) == h1.prob(parent_c) == Fraction(1, 3)
+        assert h1.depths[a] != h1.depths[parent_c]
         u, v = sorted((a, parent_c))
         out = node_swap(h1, SwapMove(u, v, SwapKind.SAME_PROBABILITY))
         assert out.depth_of("a") == 1   # a moved up to row 1
@@ -66,14 +66,14 @@ class TestNodeSwap:
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
         before = h1.label
         b = h1.leaf_id("b")
-        sibling = h1.node(h1.node(b).parent).right
+        sibling = h1.rights[h1.parents[b]]
         node_swap(h1, SwapMove(b, sibling, SwapKind.SAME_PARENT))
         assert h1.label == before
 
     def test_ancestry_violation(self, ex1):
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
-        child_of_root = h1.node(h1.root).right
-        grandchild = h1.node(child_of_root).right
+        child_of_root = h1.rights[h1.root]
+        grandchild = h1.rights[child_of_root]
         with pytest.raises(AncestryViolation):
             node_swap(h1, SwapMove(child_of_root, grandchild,
                                    SwapKind.SAME_PROBABILITY))
@@ -189,8 +189,8 @@ class TestAvailableSwaps:
                                                 "ex5_h1.code")[0]):
             for move in available_swaps(tree,
                                         {SwapKind.SAME_PROBABILITY}):
-                du = tree.node(move.u).depth
-                dv = tree.node(move.v).depth
+                du = tree.depths[move.u]
+                dv = tree.depths[move.v]
                 assert abs(du - dv) <= 1
 
     def test_one_move_per_pair_with_first_kind(self, ex4, ex5):
@@ -298,8 +298,9 @@ class TestSwapEquivalent:
         tree = tree_from_code(src, words)
         copy = tree_from_code(src, words)
         assert swap_equivalent(src, tree, copy, {SwapKind.SAME_PARENT}) == []
-        bottom = tree.node(tree.node(len(tree.nodes) - 1).parent)
-        move = SwapMove(bottom.left, bottom.right, SwapKind.SAME_PARENT)
+        bottom = tree.parents[-1]
+        move = SwapMove(tree.lefts[bottom], tree.rights[bottom],
+                        SwapKind.SAME_PARENT)
         target = node_swap(tree, move)
         # every other neighbour is compared with the target, then skipped
         assert swap_equivalent(src, tree, target, {SwapKind.SAME_PARENT},
@@ -339,16 +340,15 @@ class TestSwapEquivalent:
 
 
 def _first_kind(tree, u, v):
-    a, b = tree.node(u), tree.node(v)
-    if a.parent == b.parent:
+    if tree.parents[u] == tree.parents[v]:
         return SwapKind.SAME_PARENT
-    if a.depth == b.depth:
+    if tree.depths[u] == tree.depths[v]:
         return SwapKind.SAME_ROW
     return SwapKind.SAME_PROBABILITY
 
 
 def _id_at_path(tree, path):
-    node = tree.node(tree.root)
+    node = tree.root
     for bit in path:
-        node = tree.node(node.left if bit == "0" else node.right)
-    return node.id
+        node = (tree.lefts if bit == "0" else tree.rights)[node]
+    return node

@@ -22,7 +22,7 @@ class TestDecoderStep:
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
         mid = decoder_step(h1, h1.root, 1)
         assert mid != h1.root
-        assert not h1.node(mid).is_leaf
+        assert h1.symbols[mid] is None
 
     def test_run_string_decodes_codewords(self, ex1):
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
