@@ -320,6 +320,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for caps: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
+    return int(text)
+
+
 @lru_cache(maxsize=None)  # built once per process, shared by every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "last-left", "last-right"])
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATE_CAP)
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_ENUMERATE_CAP)
     p.set_defaults(func=cmd_huffman)
 
     p = sub.add_parser("check", help="property report for a code")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_code", required=True)
     p.add_argument("--to", dest="to_code")
     p.add_argument("--kinds", default="parent,row,prob")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_CLOSURE_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_swaps)
 

@@ -63,15 +63,15 @@ def _leaf_depths(template: Shape, depth: int = 0) -> Tuple[int, ...]:
     return _leaf_depths(left, depth + 1) + _leaf_depths(right, depth + 1)
 
 
-def _fill(template: Shape, symbols: Tuple[str, ...]) -> Shape:
-    feed = iter(symbols)
-
-    def go(t: Shape) -> Shape:
-        if t == _SLOT:
-            return next(feed)
-        return (go(t[0]), go(t[1]))
-
-    return go(template)
+def _fill(depths: Tuple[int, ...], symbols: Tuple[str, ...]) -> Shape:
+    """The complete tree with leaves `symbols` at `depths`, left to right:
+    each subtree joins the one before it while the two are at one depth."""
+    stack: List[Tuple[Shape, int]] = []
+    for shape, depth in zip(symbols, depths):
+        while stack and stack[-1][1] == depth:
+            shape, depth = (stack.pop()[0], shape), depth - 1
+        stack.append((shape, depth))
+    return stack[0][0]
 
 
 def _guard(source: Source, limit: int) -> None:
@@ -92,18 +92,18 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
     """Stream every complete, leaf-labeled, orientation-distinct tree."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     n = len(source)
-    templates = _shape_templates(n)
+    templates = [_leaf_depths(t) for t in _shape_templates(n)]
 
     def gen() -> Iterator[CodeTree]:
-        for template in templates:
+        for depths in templates:
             for perm in permutations(source.symbols):
-                yield CodeTree(source, _fill(template, perm))
+                yield CodeTree(source, _fill(depths, perm))
 
     return TreeEnumeration(source=source, members=gen(),
                            count=factorial(n) * catalan(n - 1))
 
 
-_Fill = Tuple[Shape, Tuple[int, ...]]  # (template, symbol-index permutation)
+_Fill = Tuple[Tuple[int, ...], Tuple[int, ...]]  # leaf depths, symbol ids
 
 
 def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
@@ -121,7 +121,7 @@ def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
                 best = total
                 fills = []
             if total == best:
-                fills.append((template, perm))
+                fills.append((depths, perm))
     return best, fills
 
 
@@ -137,7 +137,7 @@ def optimal_set(source: Source) -> Set[str]:
 
 def _fill_shapes(source: Source, fills: List[_Fill]) -> Set[Shape]:
     symbols = source.symbols
-    return {_fill(t, tuple(symbols[s] for s in perm)) for t, perm in fills}
+    return {_fill(d, tuple(symbols[s] for s in perm)) for d, perm in fills}
 
 
 def strong_monotonicity_scan(source: Source, code: PrefixCode

@@ -7,10 +7,10 @@ the first of parent, row, prob that applies.  `swap_closure` and
 shapes (equal shapes are one object, so no nested tuple is compared,
 which in C recurses once per level): a neighbour is recorded only while
 fewer than `cap` shapes are (the target of an equivalence search always
-is), and a search that skips a neighbour for the cap is truncated.
-Only `swap_closure` renders labels, one per recorded shape, and it also
-returns the shapes.  Certificate moves are serialized as (row,
-index-in-row) pairs, stable because node ids are breadth-first.
+is), and a search that skips a neighbour for the cap is truncated.  It
+folds listed moves unchecked and checks one only in the `node_swap` that
+builds a tree to record.  `swap_closure` renders one label per recorded
+shape.  Moves are serialized as (row, index-in-row) pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .core import CodeTree, Shape, ShapeTable, Source, interned, shape_label
 from .errors import (AlphabetMismatch, AncestryViolation, KindViolation,
@@ -35,8 +36,7 @@ class SwapKind(enum.Enum):
     SAME_PROBABILITY = "prob"
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(NamedTuple):
     """Exchange subtrees at node ids u and v; u < v by convention."""
     u: int
     v: int
@@ -85,24 +85,29 @@ def swapped_shape(tree: CodeTree, move: SwapMove,
                   intern: Optional[_Intern] = None) -> Shape:
     """The shape of the tree after one checked swap; builds no tree.
 
-    The deeper endpoint is lifted to the other's row: if it meets the
-    other there, one endpoint is an ancestor of the other.  Once the
-    move is checked, the two endpoints climb to their lowest common
-    ancestor (the deeper first, then both in step) and it climbs to the
-    root, rebuilding each shape passed once.  Given `intern`, each
-    rebuilt shape is replaced by `intern((id(left), id(right)), shape)`:
-    the `get` of a table holding `tree`'s shapes puts in the equal shapes
-    it holds, and its `setdefault` also enters the others.
+    Checks same node, range, ancestry (the deeper endpoint, lifted to the
+    other's row, meets it iff one is an ancestor) and kind, then folds.
     """
     u, v = move.u, move.v
-    parents, lefts, shapes = tree.parents, tree.lefts, tree.shapes
     if u == v:
         raise AncestryViolation("cannot swap a node with itself")
-    if not (0 <= u < len(shapes) and 0 <= v < len(shapes)):
+    if not (0 <= u < len(tree.shapes) and 0 <= v < len(tree.shapes)):
         raise AncestryViolation("node id out of range")
     if _is_ancestor(tree, min(u, v), max(u, v)):  # ids are breadth-first
         raise AncestryViolation("one swap endpoint is a descendant of the other")
     _check_kind(tree, move)
+    return _fold(tree, u, v, intern)
+
+
+def _fold(tree: CodeTree, u: int, v: int,
+          intern: Optional[_Intern] = None) -> Shape:
+    """`swapped_shape` of nodes u and v, unchecked: they climb to their
+    lowest common ancestor (the deeper first, then both in step) and it to
+    the root, rebuilding each shape passed once.  Given `intern`, each
+    rebuilt shape is replaced by `intern((id(left), id(right)), shape)`:
+    the `get` of a table holding `tree`'s shapes puts in the equal shapes
+    it holds, and its `setdefault` also enters the others."""
+    parents, lefts, shapes = tree.parents, tree.lefts, tree.shapes
     a, new_a, b, new_b = u, shapes[v], v, shapes[u]
     while a:  # up to the root; b is 0, the root, once the walks have met
         if a < b:  # step the deeper node, or the right one on a row
@@ -189,21 +194,26 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
             ) -> Tuple[_Parents, Optional[List[SwapMove]], bool]:
     """Breadth-first search from `tree`, stopping once `target` is seen.
 
-    Returns the recorded shapes with their back-pointers, the moves from
-    `tree` to a `target` unlike it (None if not reached), and whether
-    the cap skipped a neighbour.
+    A listed move is probed with the bare `_fold`, and checked only by
+    the `node_swap` that builds a tree to record.  Returns the recorded
+    shapes with their back-pointers, the moves from `tree` to `target`
+    (None if not reached), and whether the cap skipped a neighbour.
     """
+    if cap < 1:  # the start is always recorded
+        raise ValueError("closure cap must be at least 1, got %d" % cap)
     table: ShapeTable = {}
     interned(tree, table)  # the table is empty, so these are tree's own
     goal = None if target is None else interned(target, table)
     parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
+    if goal is tree.shape:
+        return parent, [], False
     queue = deque([tree])
     truncated = False
     while queue:
         current = queue.popleft()
         here = id(current.shape)
         for move in available_swaps(current, kinds):
-            shape = swapped_shape(current, move, table.get)  # no tree yet
+            shape = _fold(current, move.u, move.v, table.get)  # unchecked
             if id(shape) in parent:
                 continue
             if shape is not goal and len(parent) >= cap:
@@ -241,8 +251,6 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
     """
     if t1.source != source or t2.source != source:
         raise AlphabetMismatch("trees are not over the given source")
-    if t1.label == t2.label:
-        return []
     _, path, truncated = _search(t1, kinds, cap, t2)
     if path is not None:
         return path

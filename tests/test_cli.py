@@ -109,6 +109,14 @@ class TestHuffmanCommand:
     def test_cap_guard(self, capsys):
         assert main(["huffman", fx("ex4.src"), "--all", "--cap", "1"]) == 3
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["huffman", fx("ex2.src"), "--all", "--cap", cap])
+        assert exc.value.code == 2
+        assert ("argument --cap: must be at least 1, got %s" % cap
+                in capsys.readouterr().err)
+
     def test_all_on_ten_equiprobable_symbols(self, tmp_path, capsys):
         src = tmp_path / "u10.src"
         src.write_text("".join("s%d 1\n" % i for i in range(10)))
@@ -186,6 +194,19 @@ class TestSwapsCommand:
                      "--from", fx("ex4_h1.code"),
                      "--to", fx("ex4_c.code"),
                      "--kinds", "parent,prob", "--cap", "2"]) == 3
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_input_error(self, cap, capsys):
+        # the start tree is always recorded, so a closure needs cap >= 1
+        for target in ([], ["--to", fx("ex4_h2.code")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["swaps", fx("ex4.src"), "--from", fx("ex4_h1.code"),
+                      "--kinds", "row", "--cap", cap] + target)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("argument --cap: must be at least 1, got %s" % cap
+                    in captured.err)
 
     def test_certificate_that_ends_elsewhere_is_internal_error(
             self, monkeypatch, capsys):

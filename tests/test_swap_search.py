@@ -21,9 +21,9 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.core import CodeTree, interned, shape_label
-from prefixcodes.errors import Truncated
-from prefixcodes.swaps import swapped_shape
-from conftest import random_trees
+from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
+from prefixcodes.swaps import SwapMove, _fold, swapped_shape
+from conftest import load_tree, random_trees
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -109,6 +109,38 @@ def test_search_agrees_with_reference(index):
                         lambda: reference(source, *trees, kinds, cap))
                     seen.add(_kind_of(got))
     assert seen >= {"closed", "truncated", "certificate", "none", "cap"}
+
+
+def _also_listing(bad):
+    """`available_swaps` that also lists `bad`, which it never would."""
+    def listed(tree, kinds):
+        return available_swaps(tree, kinds) + [bad]
+    return listed
+
+
+@pytest.mark.parametrize("bad, error", [
+    (SwapMove(1, 5, SwapKind.SAME_PROBABILITY), KindViolation),  # 1/3, 1/6
+    (SwapMove(1, 5, SwapKind.SAME_ROW), KindViolation),  # rows 1 and 3
+    (SwapMove(1, 5, SwapKind.SAME_PARENT), KindViolation),
+    (SwapMove(2, 5, SwapKind.SAME_PROBABILITY), AncestryViolation),
+])
+def test_search_checks_each_move_it_records(monkeypatch, ex4, bad, error):
+    # the search folds listed moves unchecked, so a bad move that leads to
+    # an unrecorded tree must be caught where that tree is built
+    _, h1 = load_tree("ex4.src", "ex4_h1.code")
+    _, h2 = load_tree("ex4.src", "ex4_h2.code")  # not a neighbour of h1
+    for kinds in ({SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY},
+                  set(SwapKind)):
+        members = swap_closure(ex4, h1, kinds).members
+        assert h2.label in members
+        assert shape_label(_fold(h1, bad.u, bad.v)) not in members
+        monkeypatch.setattr("prefixcodes.swaps.available_swaps",
+                            _also_listing(bad))
+        with pytest.raises(error):
+            swap_closure(ex4, h1, kinds)
+        with pytest.raises(error):
+            swap_equivalent(ex4, h1, h2, kinds)
+        monkeypatch.undo()
 
 
 def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):

@@ -163,6 +163,30 @@ class TestNodeSwap:
         assert out.path(out.leaf_id(prev)) == words[last]
 
 
+class TestSwapMove:
+    def test_value_semantics(self):
+        move = SwapMove(1, 2, SwapKind.SAME_ROW)
+        assert (repr(move)
+                == "SwapMove(u=1, v=2, kind=<SwapKind.SAME_ROW: 'row'>)")
+        same = SwapMove(u=1, v=2, kind=SwapKind.SAME_ROW)
+        assert move == same and hash(move) == hash(same)
+        assert (move.u, move.v, move.kind) == (1, 2, SwapKind.SAME_ROW)
+        assert move != SwapMove(1, 2, SwapKind.SAME_PROBABILITY)
+        assert move != SwapMove(1, 3, SwapKind.SAME_ROW)
+        for field in ("u", "v", "kind"):
+            with pytest.raises(AttributeError):
+                setattr(move, field, 3)
+        assert move == SwapMove(1, 2, SwapKind.SAME_ROW)
+
+    def test_listed_moves_round_trip_through_text(self, ex4, ex5):
+        for source in (ex4, ex5):
+            for tree in huffman_enumerate(source):
+                for kinds in [{kind} for kind in KIND_ORDER] + [set(SwapKind)]:
+                    for move in available_swaps(tree, kinds):
+                        text = move_to_text(tree, move)
+                        assert move_from_text(tree, text) == move
+
+
 class TestAvailableSwaps:
     def test_two_leaf_tree(self):
         src = Source([("x", Fraction(1, 2)), ("y", Fraction(1, 2))])
@@ -254,6 +278,13 @@ class TestClosure:
         assert closure.truncated
         assert len(closure.members) == 7
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_rejects_cap_below_one(self, ex4, cap):
+        # the start tree is always recorded, so no closure fits in cap < 1
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+            swap_closure(ex4, h1, {SwapKind.SAME_ROW}, cap=cap)
+
     def test_rejects_tree_over_another_source(self, ex4):
         # prob swaps depend on the weights, so the tree's must be the source's
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -326,6 +357,14 @@ class TestSwapEquivalent:
         for text in ("row -1 -1 -1 -2", "row 2 0 -2 1", "prob 1 -1 2 0"):
             with pytest.raises(ParseError, match="negative"):
                 move_from_text(h1, text)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_rejects_cap_below_one(self, ex4, cap):
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        _, h2 = load_tree("ex4.src", "ex4_h2.code")
+        for target in (h1, h2):  # also where no search would run
+            with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+                swap_equivalent(ex4, h1, target, PARENT_PROB, cap=cap)
 
     def test_cap_shared_with_closure(self, ex4):
         # h2 is first reached from the 7th recorded tree, so a cap of 7
