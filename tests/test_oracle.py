@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 
@@ -41,6 +41,20 @@ class TestEnumeration:
             assert len(members) == expected
             labels = {t.label for t in members}
             assert len(labels) == expected  # all distinct
+
+    def test_fills_each_template_left_to_right(self):
+        # the trees, and their order, of a fill that recurses on the template
+        def fill(template, feed):
+            if template == oracle._SLOT:
+                return next(feed)
+            return (fill(template[0], feed), fill(template[1], feed))
+
+        for n in range(2, 6):
+            src = Source.from_weights(("s%d" % i, i + 1) for i in range(n))
+            shapes = [t.shape for t in enumerate_complete_trees(src).members]
+            assert shapes == [fill(template, iter(perm))
+                              for template in oracle._shape_templates(n)
+                              for perm in permutations(src.symbols)]
 
     def test_count_formula(self):
         # n! * Catalan(n-1) complete trees on n labeled leaves

@@ -362,7 +362,7 @@ class TestSwapEquivalent:
     def test_rejects_cap_below_one(self, ex4, cap):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
         _, h2 = load_tree("ex4.src", "ex4_h2.code")
-        for target in (h1, h2):  # also where no search would run
+        for target in (h1, h2):  # equal trees too, which need no search
             with pytest.raises(ValueError, match="at least 1, got %d" % cap):
                 swap_equivalent(ex4, h1, target, PARENT_PROB, cap=cap)
 
