@@ -321,7 +321,7 @@ def cmd_verify(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """An argparse type for caps: an integer of at least 1."""
+    """An argparse type for caps and limits: an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
     return int(text)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force theorem checks")
     p.add_argument("source", nargs="?")
     p.add_argument("--corpus", action="store_true")
-    p.add_argument("--max-n", type=int, default=VERIFY_MAX_SYMBOLS)
+    p.add_argument("--max-n", type=positive_int, default=VERIFY_MAX_SYMBOLS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

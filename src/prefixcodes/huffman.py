@@ -78,8 +78,11 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     probabilities can occupy the two smallest positions of the current
     probability multiset and (b) both left/right child orders.  Results
     are returned sorted by canonical label.  Raises CapExceeded as soon
-    as more than `cap` distinct trees are found.
+    as more than `cap` distinct trees are found, and ValueError for a cap
+    below 1.
     """
+    if cap < 1:  # every source has at least one Huffman tree
+        raise ValueError("Huffman tree cap must be at least 1, got %d" % cap)
     table: ShapeTable = {}  # lives for this call, so every id names a shape
     start = tuple(sorted(zip(map(id, source.symbols), source.weights,
                              source.symbols)))

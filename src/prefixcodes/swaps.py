@@ -9,7 +9,12 @@ which in C recurses once per level): a neighbour is recorded only while
 fewer than `cap` shapes are (the target of an equivalence search always
 is), and a search that skips a neighbour for the cap is truncated.  It
 folds listed moves unchecked and checks one only in the `node_swap` that
-builds a tree to record.  `swap_closure` renders one label per recorded
+builds a tree to record.  A recorded tree reuses the move list of the
+tree it was reached from when the arena fields `available_swaps` reads
+are equal, so a swap that keeps them (a row swap keeps every depth) costs
+no listing.  The list rides in the queue beside the tree; a dict of
+listings keyed on those fields would keep every distinct listing alive
+for the whole search.  `swap_closure` renders one label per recorded
 shape.  Moves are serialized as (row, index-in-row) pairs.
 """
 
@@ -20,6 +25,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import attrgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -195,9 +201,13 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     """Breadth-first search from `tree`, stopping once `target` is seen.
 
     A listed move is probed with the bare `_fold`, and checked only by
-    the `node_swap` that builds a tree to record.  Returns the recorded
-    shapes with their back-pointers, the moves from `tree` to `target`
-    (None if not reached), and whether the cap skipped a neighbour.
+    the `node_swap` that builds a tree to record.  A recorded tree is
+    queued with its predecessor's move list when the fields that listing
+    reads (`depths`; `parents` for parent or prob moves; `weights` for
+    prob moves) are equal, and is listed afresh otherwise.  Returns the
+    recorded shapes with their back-pointers, the moves from `tree` to
+    `target` (None if not reached), and whether the cap skipped a
+    neighbour.
     """
     if cap < 1:  # the start is always recorded
         raise ValueError("closure cap must be at least 1, got %d" % cap)
@@ -207,12 +217,20 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
     if goal is tree.shape:
         return parent, [], False
-    queue = deque([tree])
+    fields = ["depths"]  # the arena fields `available_swaps` reads
+    if SwapKind.SAME_PARENT in kinds or SwapKind.SAME_PROBABILITY in kinds:
+        fields.append("parents")
+    if SwapKind.SAME_PROBABILITY in kinds:
+        fields.append("weights")
+    arena = attrgetter(*fields)
+    queue = deque([(tree, None)])
     truncated = False
     while queue:
-        current = queue.popleft()
-        here = id(current.shape)
-        for move in available_swaps(current, kinds):
+        current, moves = queue.popleft()
+        if moves is None:
+            moves = available_swaps(current, kinds)
+        here, fields_here = id(current.shape), arena(current)
+        for move in moves:
             shape = _fold(current, move.u, move.v, table.get)  # unchecked
             if id(shape) in parent:
                 continue
@@ -221,7 +239,7 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
                 continue
             new = node_swap(current, move, table.setdefault)
             parent[id(new.shape)] = (new.shape, here, move)
-            queue.append(new)
+            queue.append((new, moves if arena(new) == fields_here else None))
             if shape is goal:
                 path: List[SwapMove] = []
                 while move is not None:

@@ -278,6 +278,14 @@ class TestVerifyCommand:
     def test_needs_input(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_is_input_error(self, max_n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", fx("ex4.src"), "--max-n", max_n])
+        assert exc.value.code == 2
+        assert ("argument --max-n: must be at least 1, got %s" % max_n
+                in capsys.readouterr().err)
+
     def test_corpus_stops_at_max_n(self, capsys):
         # coin and the three 4-symbol sources run; ninths5 trips the guard
         assert main(["verify", "--corpus", "--max-n", "4"]) == 3

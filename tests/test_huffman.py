@@ -134,6 +134,12 @@ class TestEnumerate:
                            "trees exceed cap 1$"):
             huffman_enumerate(ex4, cap=1)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_cap_below_one(self, ex2, cap):
+        with pytest.raises(ValueError, match="^Huffman tree cap must be at "
+                           "least 1, got %d$" % cap):
+            huffman_enumerate(ex2, cap=cap)
+
     def test_cap_trips_during_search(self):
         # 10 equiprobable symbols have more Huffman trees than the
         # default cap; the search stops once its partial result passes it

@@ -20,6 +20,7 @@ from prefixcodes import (
     swap_equivalent,
     tree_from_code,
 )
+from prefixcodes import swaps
 from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from prefixcodes.swaps import SwapMove, _fold, swapped_shape
@@ -141,6 +142,73 @@ def test_search_checks_each_move_it_records(monkeypatch, ex4, bad, error):
         with pytest.raises(error):
             swap_equivalent(ex4, h1, h2, kinds)
         monkeypatch.undo()
+
+
+def _record_expansions(monkeypatch):
+    """Patch the search's probe, `node_swap` and `available_swaps`; returns
+    the probed (u, v) pairs per tree id, the trees with the moves they came
+    by, and the trees listed."""
+    probed, recorded, listed = {}, [], []
+    fold, swap, listing = swaps._fold, swaps.node_swap, swaps.available_swaps
+
+    def probe(tree, u, v, intern=None):
+        # the probe interns with the table's get, node_swap's fold with
+        # its setdefault
+        if intern is not None and intern.__name__ == "get":
+            probed.setdefault(id(tree), []).append((u, v))
+        return fold(tree, u, v, intern)
+
+    def recording_swap(tree, move, intern=None):
+        new = swap(tree, move, intern)
+        recorded.append((tree, move, new))
+        return new
+
+    def recording_listing(tree, kinds):
+        listed.append(tree)
+        return listing(tree, kinds)
+
+    monkeypatch.setattr(swaps, "_fold", probe)
+    monkeypatch.setattr(swaps, "node_swap", recording_swap)
+    monkeypatch.setattr(swaps, "available_swaps", recording_listing)
+    return probed, recorded, listed
+
+
+@pytest.mark.parametrize("kinds", KIND_SETS,
+                         ids=lambda k: ",".join(sorted(x.value for x in k)))
+def test_each_expanded_state_probes_its_own_listing(monkeypatch, ex4, ex5,
+                                                    kinds):
+    # a state may reuse its predecessor's listing, but only when that is
+    # the listing `available_swaps` gives for the state itself
+    trees = (list(huffman_enumerate(ex4)) + list(huffman_enumerate(ex5))
+             + random_trees())
+    probed, recorded, listed = _record_expansions(monkeypatch)
+    reused = 0
+    for tree in trees:
+        for cap in (10, 10 ** 6):
+            probed.clear()
+            recorded.clear()
+            listed.clear()
+            closure = swap_closure(tree.source, tree, kinds, cap)
+            assert len(recorded) == len(closure.members) - 1
+            states = [tree] + [new for _, _, new in recorded]
+            listings = {id(state): available_swaps(state, kinds)
+                        for state in states}
+            for state in states:  # a closure expands every state it records
+                assert probed.get(id(state), []) == [
+                    (m.u, m.v) for m in listings[id(state)]]
+            for before, move, _ in recorded:
+                assert move in listings[id(before)]
+            reused += len(states) - len(listed)
+    assert reused > 0
+
+
+def test_row_search_lists_moves_once(monkeypatch, ex5):
+    # a row swap keeps every node's depth, the one field a row listing reads
+    _, _, listed = _record_expansions(monkeypatch)
+    for tree in huffman_enumerate(ex5):
+        listed.clear()
+        closure = swap_closure(ex5, tree, {SwapKind.SAME_ROW})
+        assert len(closure.members) > 1 and listed == [tree]
 
 
 def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
