@@ -1,29 +1,29 @@
 """Property checkers for prefix codes: completeness, monotonicity,
-strong monotonicity, optimality, length equivalence, and the improving
-construction that turns a strong-monotonicity violation into a strictly
-shorter code."""
+strong monotonicity, optimality, and the improving construction that
+turns a strong-monotonicity violation into a strictly shorter code.
+Length-only checks take a length vector (`core.code_lengths`), and two
+codes are length equivalent iff their vectors are equal; tree checks
+read the tree's own source."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     CodeTree,
     PrefixCode,
     Source,
-    code_from_lengths,
+    _checked_lengths,
+    code_lengths,
     expected_length,
     kraft_sum,
     tree_from_code,
 )
-from .errors import (
-    AlphabetMismatch,
-    ConsistencyError,
-    InvalidWitness,
-)
+from .errors import ConsistencyError, InvalidWitness
 from .huffman import huffman_build, is_huffman, row_sorted
 
 
@@ -56,7 +56,7 @@ def is_complete(tree: CodeTree) -> bool:
     return tree.is_complete
 
 
-def is_monotone(source: Source, tree: CodeTree) -> bool:
+def is_monotone(tree: CodeTree) -> bool:
     """True iff no node out-weighs any node on a strictly higher row."""
     rows, weights = tree.rows(), tree.weights
     row_min = [min(weights[i] for i in row) for row in rows]
@@ -69,7 +69,7 @@ def is_monotone(source: Source, tree: CodeTree) -> bool:
     return True
 
 
-def _rows(lengths: List[int], weights: List[int]) -> List[List[int]]:
+def _rows(lengths: Sequence[int], weights: Sequence[int]) -> List[List[int]]:
     """rows[d]: the sorted weights of the symbols at depth d, for every
     depth down to the deepest."""
     rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
@@ -118,7 +118,7 @@ def _row_extremes(rows: List[List[int]]) -> Dict[int, int]:
     return least
 
 
-def _first_subset(lengths: List[int], weights: List[int], k: int,
+def _first_subset(lengths: Sequence[int], weights: Sequence[int], k: int,
                   best: int) -> Tuple[int, ...]:
     """The lexicographically first sorted index tuple among the subsets
     with Kraft sum 2^-k and total weight `best`, the least such weight.
@@ -156,7 +156,7 @@ def _first_subset(lengths: List[int], weights: List[int], k: int,
     return tuple(chosen)
 
 
-def strong_monotonicity_check(source: Source, code: PrefixCode
+def strong_monotonicity_check(source: Source, lengths: Sequence[int]
                               ) -> Optional[MonotonicityWitness]:
     """Find a strong-monotonicity violation in polynomial time.
 
@@ -167,13 +167,13 @@ def strong_monotonicity_check(source: Source, code: PrefixCode
     one package-merge pass per sign finds them for every exponent.  At
     the first violating (i, j), in increasing i then j, the witness sets
     are the lexicographically first sorted index tuples that reach the
-    two extremes.  Returns None if the code is strongly monotone.
+    two extremes.  Returns None if the lengths are strongly monotone.
     `oracle.strong_monotonicity_scan` is the 2^n subset scan that this
     answer, witness included, must match.
     """
     symbols = source.symbols
-    lengths = [len(code.word(s)) for s in symbols]
-    weights = list(source.weights)  # probabilities as integers over den
+    lengths = _checked_lengths(source, lengths)
+    weights = source.weights  # probabilities as integers over den
     rows = _rows(lengths, weights)
     lo = _row_extremes(rows)
     # the greatest weights, as the least of the negated ones
@@ -191,67 +191,56 @@ def strong_monotonicity_check(source: Source, code: PrefixCode
     return None
 
 
-def is_optimal(source: Source, code: PrefixCode) -> bool:
+def is_optimal(source: Source, lengths: Sequence[int]) -> bool:
     """Exact comparison against the Huffman expected length."""
-    return (expected_length(source, code)
+    return (expected_length(source, lengths)
             == huffman_build(source).expected_length())
 
 
-def length_equivalent(c1: PrefixCode, c2: PrefixCode) -> bool:
-    """True iff both codes assign every symbol the same codeword length."""
-    if set(c1.words) != set(c2.words):
-        raise AlphabetMismatch("codes are over different alphabets")
-    return all(len(c1.word(s)) == len(c2.word(s)) for s in c1.words)
-
-
-def improve_from_witness(source: Source, code: PrefixCode,
-                         witness: MonotonicityWitness) -> PrefixCode:
-    """Build a strictly shorter code from a strong-monotonicity violation.
+def improve_from_witness(source: Source, lengths: Sequence[int],
+                         witness: MonotonicityWitness) -> Tuple[int, ...]:
+    """A strictly shorter length vector from a strong-monotonicity violation.
 
     Lengths grow by (j - i) on A - B, shrink by (j - i) on B - A, and are
     untouched elsewhere; the new lengths always satisfy the Kraft
     inequality, and the expected length drops by exactly
     (j - i) * (P(B - A) - P(A - B)) > 0.
     """
+    lengths = _checked_lengths(source, lengths)
     a_set, b_set = set(witness.A), set(witness.B)
     if not a_set <= set(source.symbols) or not b_set <= set(source.symbols):
         raise InvalidWitness("witness symbols outside the alphabet")
     if witness.i >= witness.j or witness.i < 0:
         raise InvalidWitness("witness needs 0 <= i < j")
-    if kraft_sum(code, a_set) != Fraction(1, 2 ** witness.i):
+    in_a = [s in a_set for s in source.symbols]
+    in_b = [s in b_set for s in source.symbols]
+    if kraft_sum(compress(lengths, in_a)) != Fraction(1, 2 ** witness.i):
         raise InvalidWitness("K(A) != 2^-i")
-    if kraft_sum(code, b_set) != Fraction(1, 2 ** witness.j):
+    if kraft_sum(compress(lengths, in_b)) != Fraction(1, 2 ** witness.j):
         raise InvalidWitness("K(B) != 2^-j")
     if source.prob_of(a_set) >= source.prob_of(b_set):
         raise InvalidWitness("P(A) >= P(B): nothing to improve")
     delta = witness.j - witness.i
-    lengths = {}
-    for sym, word in code.words.items():
-        ln = len(word)
-        if sym in a_set and sym not in b_set:
-            ln += delta
-        elif sym in b_set and sym not in a_set:
-            ln -= delta
-        lengths[sym] = ln
-    return code_from_lengths(source, lengths)
+    return _checked_lengths(source, (ln + delta * (a - b) for ln, a, b
+                                     in zip(lengths, in_a, in_b)))
 
 
 def classify(source: Source, code: PrefixCode) -> PropertyReport:
     """Full property report; asserts the optimality characterizations agree."""
     tree = tree_from_code(source, code)
+    lengths = code_lengths(source, code)
     complete = tree.is_complete
-    kraft_total = kraft_sum(code, source.symbols)
-    monotone = is_monotone(source, tree)
-    witness = strong_monotonicity_check(source, code)
+    kraft_total = kraft_sum(lengths)
+    monotone = is_monotone(tree)
+    witness = strong_monotonicity_check(source, lengths)
     strongly_monotone = witness is None
-    exp_len = expected_length(source, code)
+    exp_len = expected_length(source, lengths)
     huffman_len = huffman_build(source).expected_length()
     optimal = exp_len == huffman_len
-    huffman_member = is_huffman(source, tree)
-    lengths = code.lengths()
-    h = row_sorted(source, tree) if complete else None  # the certificate
-    length_equiv = h is not None and is_huffman(source, h) and all(
-        h.depth_of(s) == lengths[s] for s in source.symbols)
+    huffman_member = is_huffman(tree)
+    h = row_sorted(tree) if complete else None  # the certificate
+    length_equiv = h is not None and is_huffman(h) and tuple(
+        map(h.depth_of, source.symbols)) == lengths
     if not (optimal == (complete and strongly_monotone) == length_equiv):
         raise ConsistencyError(
             "optimality characterizations disagree: optimal=%s, "

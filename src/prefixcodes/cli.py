@@ -32,7 +32,6 @@ from .core import (
     PrefixCode,
     Source,
     code_from_tree,
-    expected_length,
     tree_from_code,
 )
 from .errors import (
@@ -182,13 +181,13 @@ def cmd_huffman(args) -> int:
         print(json.dumps({
             "code": dict(code.words),
             "lengths": code.lengths(),
-            "expected_length": str(expected_length(source, code)),
+            "expected_length": str(tree.expected_length()),
             "tree": tree.label,
         }, indent=2))
     else:
         for sym in source.symbols:
             print("%s %s %d" % (sym, code.word(sym), len(code.word(sym))))
-        print("expected length %s" % expected_length(source, code))
+        print("expected length %s" % tree.expected_length())
     return EXIT_OK
 
 

@@ -16,6 +16,10 @@ across rebuilds of the same tree, a parent's id is below its
 children's and each row is a run of ids.  Since each node's subtree
 shape is kept, a rebuild that changes a few subtrees reuses the shapes
 of the rest.  No function here recurses, so trees of any depth work.
+
+Checks that read codeword lengths alone take a length vector, the
+lengths in source order; `code_lengths` reads one off a `PrefixCode`,
+and `_checked_lengths` validates every one a function is given.
 """
 
 from __future__ import annotations
@@ -346,11 +350,6 @@ def interned(tree: CodeTree, table: ShapeTable) -> Shape:
     return held[0]
 
 
-def canonical_label(tree: CodeTree) -> str:
-    """Deterministic identity string of a tree (shape, orientation, leaves)."""
-    return tree.label
-
-
 def tree_from_code(source: Source, code) -> CodeTree:
     """Build the code tree whose root-to-leaf paths spell the codewords."""
     if not isinstance(code, PrefixCode):
@@ -383,48 +382,64 @@ def code_from_tree(tree: CodeTree) -> PrefixCode:
     return PrefixCode({s: paths[tree.leaf_id(s)] for s in tree.source.symbols})
 
 
-def kraft_sum(code: PrefixCode, subset: Optional[Iterable[str]] = None
-              ) -> Fraction:
-    """Exact sum of 2^-len(word) over a subset of the code's symbols."""
-    if subset is None:
-        subset = code.words
-    lengths = [len(code.word(sym)) for sym in subset]
+def _kraft(lengths: Tuple[int, ...]) -> Tuple[int, int]:
+    """(numerator, exponent) of the Kraft sum of `lengths` over 2^exponent,
+    once each entry is an integer of at least 1."""
+    for ln in lengths:
+        if not isinstance(ln, int) or ln < 1:
+            raise KraftExceeded("codeword length %r is not a positive integer"
+                                % (ln,))
     top = max(lengths, default=0)
-    return Fraction(sum(1 << (top - ln) for ln in lengths), 1 << top)
+    return sum(1 << (top - ln) for ln in lengths), top
 
 
-def expected_length(source: Source, code: PrefixCode) -> Fraction:
-    """Exact average codeword length of `code` under `source`."""
+def kraft_sum(lengths: Iterable[int]) -> Fraction:
+    """Exact sum of 2^-length over `lengths`; pass a subset's lengths for
+    that subset's sum."""
+    num, top = _kraft(tuple(lengths))
+    return Fraction(num, 1 << top)
+
+
+def _checked_lengths(source: Source, lengths: Iterable[int]
+                     ) -> Tuple[int, ...]:
+    """`lengths` as a tuple, once it is a length vector over `source`: one
+    integer of at least 1 per symbol, with Kraft sum at most 1."""
+    lengths = tuple(lengths)
+    if len(lengths) != len(source):
+        raise AlphabetMismatch("%d codeword lengths for %d symbols"
+                               % (len(lengths), len(source)))
+    num, top = _kraft(lengths)
+    if num > 1 << top:
+        raise KraftExceeded("Kraft sum %s exceeds 1" % Fraction(num, 1 << top))
+    return lengths
+
+
+def code_lengths(source: Source, code: PrefixCode) -> Tuple[int, ...]:
+    """The length vector of `code`: its codeword lengths in source order."""
     if set(code.words) != set(source.symbols):
         raise AlphabetMismatch("code does not cover the source alphabet")
-    return Fraction(sum(source.weight_of[s] * len(w)
-                        for s, w in code.words.items()), source.den)
+    return tuple(len(code.words[s]) for s in source.symbols)
 
 
-def code_from_lengths(source: Source, lengths: Mapping[str, int]
-                      ) -> PrefixCode:
-    """Canonical prefix code realizing the requested codeword lengths.
+def expected_length(source: Source, lengths: Iterable[int]) -> Fraction:
+    """Exact average codeword length of the length vector under `source`."""
+    lengths = _checked_lengths(source, lengths)
+    return Fraction(sum(w * ln for w, ln in zip(source.weights, lengths)),
+                    source.den)
+
+
+def code_from_lengths(source: Source, lengths: Iterable[int]) -> PrefixCode:
+    """Canonical prefix code realizing the length vector.
 
     Symbols are ordered by (length ascending, source order) and each is
     assigned the numerically smallest codeword of its length that does
     not conflict with previously assigned prefixes.
     """
-    if set(lengths) != set(source.symbols):
-        raise AlphabetMismatch("length map does not cover the alphabet")
-    for sym, ln in lengths.items():
-        if not isinstance(ln, int) or ln < 1:
-            raise KraftExceeded("length of %r must be a positive integer" % sym)
-    total = sum(Fraction(1, 2 ** ln) for ln in lengths.values())
-    if total > 1:
-        raise KraftExceeded("Kraft sum %s exceeds 1" % total)
-    ordered = sorted(source.symbols, key=lambda s: (lengths[s], source.index(s)))
-    words = {}
-    value = 0
-    prev_len = lengths[ordered[0]]
-    for pos, sym in enumerate(ordered):
-        ln = lengths[sym]
-        if pos:
-            value = (value + 1) << (ln - prev_len)
-        words[sym] = format(value, "b").rjust(ln, "0")
-        prev_len = ln
-    return PrefixCode({s: words[s] for s in source.symbols})
+    lengths = _checked_lengths(source, lengths)
+    words = [""] * len(lengths)
+    value, prev = -1, 0
+    for k in sorted(range(len(lengths)), key=lengths.__getitem__):  # stable
+        value = (value + 1) << (lengths[k] - prev)
+        prev = lengths[k]
+        words[k] = format(value, "b").rjust(prev, "0")
+    return PrefixCode(zip(source.symbols, words))

@@ -141,8 +141,7 @@ def _sibling_pairs(tree: CodeTree) -> List[Tuple[int, int, int, int]]:
     return pairs
 
 
-def sibling_property(source: Source, tree: CodeTree
-                     ) -> Optional[SiblingListing]:
+def sibling_property(tree: CodeTree) -> Optional[SiblingListing]:
     """A sibling listing of the tree if one exists, else None.
 
     Greedy check: sibling pairs sorted by (hi, lo) descending form a
@@ -160,8 +159,7 @@ def sibling_property(source: Source, tree: CodeTree
     return SiblingListing(tuple(i for _, _, hi, lo in pairs for i in (hi, lo)))
 
 
-def sibling_property_exhaustive(source: Source, tree: CodeTree
-                                ) -> Optional[SiblingListing]:
+def sibling_property_exhaustive(tree: CodeTree) -> Optional[SiblingListing]:
     """Backtracking search over all tied pair orderings; test oracle.
 
     Whether a partial listing extends depends only on the weights of the
@@ -196,15 +194,16 @@ def sibling_property_exhaustive(source: Source, tree: CodeTree
             return None
 
 
-def is_huffman(source: Source, tree: CodeTree) -> bool:
-    """True iff the tree could result from some run of the merge loop."""
+def is_huffman(tree: CodeTree) -> bool:
+    """True iff the tree could result from some run of the merge loop on
+    its source."""
     try:
-        return sibling_property(source, tree) is not None
+        return sibling_property(tree) is not None
     except NotComplete:
         return False
 
 
-def row_sorted(source: Source, tree: CodeTree) -> CodeTree:
+def row_sorted(tree: CodeTree) -> CodeTree:
     """Row-permute a tree so each row is in non-increasing probability.
 
     Working upward from the bottom row, each row's nodes (with their
@@ -224,13 +223,13 @@ def row_sorted(source: Source, tree: CodeTree) -> CodeTree:
                 current.append((w_left + w_right, (left, right)))
         current.sort(key=lambda ws: ws[0], reverse=True)
         below = current
-    return CodeTree(source, below[0][1])
+    return CodeTree(tree.source, below[0][1])
 
 
-def huffmanize(source: Source, tree: CodeTree) -> CodeTree:
+def huffmanize(tree: CodeTree) -> CodeTree:
     """Row-permute an optimal tree into a length-equivalent Huffman tree."""
     if not tree.is_complete:
         raise NotComplete("huffmanize requires a complete tree")
-    if tree.expected_length() != huffman_build(source).expected_length():
+    if tree.expected_length() != huffman_build(tree.source).expected_length():
         raise NotOptimal("huffmanize requires an optimal code")
-    return row_sorted(source, tree)
+    return row_sorted(tree)

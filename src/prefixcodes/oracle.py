@@ -8,21 +8,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .analysis import (
     MonotonicityWitness,
     is_monotone,
     strong_monotonicity_check,
 )
-from .core import (
-    CodeTree,
-    PrefixCode,
-    Shape,
-    Source,
-    code_from_tree,
-    shape_label,
-)
+from .core import CodeTree, Shape, Source, _checked_lengths, shape_label
 from .errors import AlphabetTooLarge
 from .huffman import (
     huffman_build,
@@ -140,7 +133,7 @@ def _fill_shapes(source: Source, fills: List[_Fill]) -> Set[Shape]:
     return {_fill(d, tuple(symbols[s] for s in perm)) for d, perm in fills}
 
 
-def strong_monotonicity_scan(source: Source, code: PrefixCode
+def strong_monotonicity_scan(source: Source, lengths: Sequence[int]
                              ) -> Optional[MonotonicityWitness]:
     """`analysis.strong_monotonicity_check` by scanning all 2^n subsets.
 
@@ -148,12 +141,12 @@ def strong_monotonicity_scan(source: Source, code: PrefixCode
     and keeps each exponent's probability extremes, so the doubly
     quantified definition costs O(2^n) rather than O(4^n).  Returns the
     lexicographically first witness (by sorted index tuple) at the first
-    violating exponent pair, or None if the code is strongly monotone.
+    violating exponent pair, or None if the lengths are strongly monotone.
     """
     _guard(source, SUBSET_SCAN_MAX_SYMBOLS)
     symbols = source.symbols
     n = len(symbols)
-    lengths = [len(code.word(s)) for s in symbols]
+    lengths = _checked_lengths(source, lengths)
     weight_bits = max(lengths)
     kraft_w = [1 << (weight_bits - l) for l in lengths]
     prob_w = source.weights  # probabilities as integers over source.den
@@ -220,9 +213,9 @@ class VerificationReport:
 
 def _tally(tree: CodeTree, index: Dict[str, int]
            ) -> Tuple[Tuple[int, ...], int, bool]:
-    """One pass over `tree`'s leaves: its codeword lengths in source order,
-    its weighted depth sum (expected length times `den`) and whether its
-    Kraft sum is 1."""
+    """One pass over `tree`'s leaves: its length vector (codeword lengths
+    in source order), its weighted depth sum (expected length times `den`)
+    and whether its Kraft sum is 1."""
     top = tree.depths[-1]  # ids are breadth-first: the last node is deepest
     lengths = [0] * len(index)
     total = kraft = 0
@@ -272,17 +265,16 @@ def verify_theorems(source: Source) -> VerificationReport:
         "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
 
     # Per-length-assignment verdicts are shared by all trees that induce
-    # the same codeword lengths, so memoize on the assignment.  None
-    # marks an assignment where package-merge and the subset scan differ
+    # the same codeword lengths, so memoize on the assignment: the
+    # `_tally` key, a length vector both checks take as is.  None marks
+    # an assignment where package-merge and the subset scan differ
     # (verdict or witness); it equals no verdict, so it fails the check.
     sm_by_lengths: Dict[Tuple[int, ...], Optional[bool]] = {}
 
-    def strongly_monotone(key: Tuple[int, ...], tree: CodeTree
-                          ) -> Optional[bool]:
+    def strongly_monotone(key: Tuple[int, ...]) -> Optional[bool]:
         if key not in sm_by_lengths:
-            code = code_from_tree(tree)
-            witness = strong_monotonicity_check(source, code)
-            agree = witness == strong_monotonicity_scan(source, code)
+            witness = strong_monotonicity_check(source, key)
+            agree = witness == strong_monotonicity_scan(source, key)
             sm_by_lengths[key] = (witness is None) if agree else None
         return sm_by_lengths[key]
 
@@ -304,16 +296,16 @@ def verify_theorems(source: Source) -> VerificationReport:
         shape = tree.shape
         in_opt = shape in opt_shapes
         optimal = total == best
-        if not (optimal == strongly_monotone(key, tree)
+        if not (optimal == strongly_monotone(key)
                 == (key in huffman_length_keys) == in_opt):
             _note(equivalence_bad, tree)
-        greedy = sibling_property(source, tree)
-        exhaustive = sibling_property_exhaustive(source, tree)
+        greedy = sibling_property(tree)
+        exhaustive = sibling_property_exhaustive(tree)
         if (greedy is None) != (exhaustive is None):
             _note(sibling_bad, tree)
         if greedy is not None:
             sibling_shapes.add(shape)
-        if shape in huffman_shapes and not is_monotone(source, tree):
+        if shape in huffman_shapes and not is_monotone(tree):
             _note(monotone_bad, tree)
         if key not in reps:
             reps[key] = (tree, in_opt)

@@ -54,8 +54,12 @@ def shortest_sync_string(tree: CodeTree,
     expanding bit 0 before bit 1 makes the returned witness the
     lexicographically smallest among the shortest.  When the reachable
     subset graph is exhausted without hitting {root}, nonexistence is
-    exact.
+    exact.  Raises SubsetCapExceeded when more than `subset_cap` subsets
+    are visited before the root is reached, and ValueError for a cap
+    below 1.
     """
+    if subset_cap < 1:  # the start subset is always visited
+        raise ValueError("subset cap must be at least 1, got %d" % subset_cap)
     if not tree.is_complete:
         raise NotComplete("synchronization is defined on complete trees")
     internal = tree.internal_ids

@@ -13,6 +13,7 @@ from prefixcodes import (
     SwapKind,
     available_swaps,
     code_from_tree,
+    code_lengths,
     decoder_step,
     huffman_build,
     node_swap,
@@ -30,6 +31,16 @@ def load_source(name: str) -> Source:
 
 def load_code(name: str) -> PrefixCode:
     return parse_code_text((FIXTURES / name).read_text())
+
+
+def load_lengths(source: Source, code_name: str):
+    """The length vector of a fixture code over `source`."""
+    return code_lengths(source, load_code(code_name))
+
+
+def tree_lengths(tree):
+    """The length vector of a tree's code."""
+    return code_lengths(tree.source, code_from_tree(tree))
 
 
 def load_tree(source_name: str, code_name: str):

@@ -5,14 +5,20 @@ import pytest
 
 from prefixcodes import (
     CodeTree,
+    MonotonicityWitness,
     PrefixCode,
     Source,
     code_from_lengths,
     code_from_tree,
+    code_lengths,
     expected_length,
+    improve_from_witness,
+    is_optimal,
     kraft_sum,
+    strong_monotonicity_check,
     tree_from_code,
 )
+from prefixcodes.oracle import strong_monotonicity_scan
 from prefixcodes.errors import (
     AlphabetMismatch,
     DuplicateSymbol,
@@ -27,6 +33,7 @@ from conftest import (
     code_by_paths,
     kraft_sum_by_fractions,
     load_code,
+    load_lengths,
     load_source,
     load_tree,
     reference_arena,
@@ -218,59 +225,134 @@ class TestCanonicalLabel:
 
 class TestCodeFromLengths:
     def test_canonical_assignment(self, ex1):
-        code = code_from_lengths(ex1, {"a": 1, "b": 2, "c": 3, "d": 3})
+        code = code_from_lengths(ex1, (1, 2, 3, 3))
         assert code.words == {"a": "0", "b": "10", "c": "110", "d": "111"}
 
     def test_forced(self):
         src = Source([("x", Fraction(1, 2)), ("y", Fraction(1, 2))])
-        assert code_from_lengths(src, {"x": 1, "y": 1}).words == \
-            {"x": "0", "y": "1"}
+        assert code_from_lengths(src, (1, 1)).words == {"x": "0", "y": "1"}
 
     def test_kraft_exceeded(self):
         src = Source([("x", Fraction(1, 3)), ("y", Fraction(1, 3)),
                       ("z", Fraction(1, 3))])
         with pytest.raises(KraftExceeded):
-            code_from_lengths(src, {"x": 1, "y": 1, "z": 1})
+            code_from_lengths(src, (1, 1, 1))
 
     def test_lengths_and_prefix_freeness_preserved(self, ex3):
-        lengths = {"a": 2, "b": 2, "c": 3, "d": 3}
+        lengths = (2, 2, 3, 3)
         code = code_from_lengths(ex3, lengths)
-        assert code.lengths() == lengths  # PrefixCode ctor checked freeness
+        assert code_lengths(ex3, code) == lengths  # PrefixCode checked freeness
+
+    def test_ties_keep_source_order(self, ex3):
+        code = code_from_lengths(ex3, (3, 2, 3, 1))
+        assert code.words == {"a": "110", "b": "10", "c": "111", "d": "0"}
+        assert code.symbols == ex3.symbols
+
+
+# every public function that takes a length vector over a source
+VECTOR_ENTRY_POINTS = {
+    "code_from_lengths": code_from_lengths,
+    "expected_length": expected_length,
+    "is_optimal": is_optimal,
+    "strong_monotonicity_check": strong_monotonicity_check,
+    "strong_monotonicity_scan": strong_monotonicity_scan,
+    "improve_from_witness": lambda source, lengths: improve_from_witness(
+        source, lengths, MonotonicityWitness(A=("x",), B=("y",), i=1, j=2)),
+}
+
+
+class TestLengthVectorChecks:
+    @pytest.fixture
+    def thirds(self):
+        return Source.from_weights([("x", 1), ("y", 1), ("z", 1)])
+
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+    @pytest.mark.parametrize("lengths", [(1, 2), (1, 2, 3, 3), ()])
+    def test_wrong_count(self, thirds, entry, lengths):
+        with pytest.raises(AlphabetMismatch):
+            VECTOR_ENTRY_POINTS[entry](thirds, lengths)
+
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+    @pytest.mark.parametrize("lengths", [(0, 1, 1), (1, 2, -1), (1, 2, 2.0),
+                                         (1, 2, "2")])
+    def test_entry_not_a_positive_integer(self, thirds, entry, lengths):
+        with pytest.raises(KraftExceeded, match="not a positive integer"):
+            VECTOR_ENTRY_POINTS[entry](thirds, lengths)
+
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+    def test_kraft_sum_above_one(self, thirds, entry):
+        with pytest.raises(KraftExceeded, match="Kraft sum 3/2 exceeds 1"):
+            VECTOR_ENTRY_POINTS[entry](thirds, (1, 1, 1))
+
+    @pytest.mark.parametrize("entry", sorted(
+        set(VECTOR_ENTRY_POINTS) - {"improve_from_witness"}))
+    def test_a_list_reads_as_its_tuple(self, thirds, entry):
+        assert (VECTOR_ENTRY_POINTS[entry](thirds, [1, 2, 2])
+                == VECTOR_ENTRY_POINTS[entry](thirds, (1, 2, 2)))
+
+    def test_kraft_sum_checks_entries_only(self):
+        assert kraft_sum((1, 1, 1)) == Fraction(3, 2)  # a sum, not a code
+        for lengths in [(0, 1, 1), (1, -1), (2.0,), ("1",)]:
+            with pytest.raises(KraftExceeded, match="not a positive integer"):
+                kraft_sum(lengths)
 
 
 class TestKraftSum:
     def test_ex3_values(self, ex3):
-        code = load_code("ex3_c.code")
-        assert kraft_sum(code, {"c", "d"}) == Fraction(1, 2)
-        assert kraft_sum(code, {"a"}) == Fraction(1, 4)
-        assert kraft_sum(code, set()) == 0
-        assert kraft_sum(code) == 1
+        lengths = dict(zip(ex3.symbols, load_lengths(ex3, "ex3_c.code")))
+        assert kraft_sum(lengths[s] for s in ("c", "d")) == Fraction(1, 2)
+        assert kraft_sum([lengths["a"]]) == Fraction(1, 4)
+        assert kraft_sum([]) == 0
+        assert kraft_sum(lengths.values()) == 1
 
     def test_unknown_symbol(self, ex3):
         with pytest.raises(UnknownSymbol):
-            kraft_sum(load_code("ex3_c.code"), {"zz"})
+            ex3.index("zz")  # how a subset of a vector is picked
+        with pytest.raises(UnknownSymbol):
+            load_code("ex3_c.code").word("zz")
 
     def test_empty_subset_is_fraction_zero(self, ex3):
-        total = kraft_sum(load_code("ex3_c.code"), [])
+        total = kraft_sum([])
         assert total == Fraction(0) and isinstance(total, Fraction)
 
+    def test_reads_any_iterable_once(self):
+        assert kraft_sum(iter([1, 2, 2])) == 1
+        assert kraft_sum(ln for ln in (2, 2)) == Fraction(1, 2)
+
     def test_deep_caterpillar_matches_fractions(self):
-        _, words = caterpillar(1100)
+        source, words = caterpillar(1100)
         code = PrefixCode(words)
-        assert kraft_sum(code) == kraft_sum_by_fractions(code, words) == 1
+        lengths = code_lengths(source, code)
+        assert kraft_sum(lengths) == kraft_sum_by_fractions(code, words) == 1
         deep = ["s1099", "s1098", "s3"]
-        assert kraft_sum(code, deep) == kraft_sum_by_fractions(code, deep)
+        assert (kraft_sum(lengths[source.index(s)] for s in deep)
+                == kraft_sum_by_fractions(code, deep))
 
 
 class TestExpectedLength:
     def test_ex3(self, ex3):
-        assert expected_length(ex3, load_code("ex3_h.code")) == Fraction(15, 8)
-        assert expected_length(ex3, load_code("ex3_c.code")) == 2
+        h = load_lengths(ex3, "ex3_h.code")
+        assert expected_length(ex3, h) == Fraction(15, 8)
+        assert expected_length(ex3, load_lengths(ex3, "ex3_c.code")) == 2
 
     def test_two_symbols(self):
         src = Source([("x", Fraction(1, 3)), ("y", Fraction(2, 3))])
-        assert expected_length(src, PrefixCode({"x": "0", "y": "1"})) == 1
+        assert expected_length(src, (1, 1)) == 1
 
     def test_mismatch(self, ex3):
         with pytest.raises(AlphabetMismatch):
-            expected_length(ex3, PrefixCode({"a": "0", "b": "1"}))
+            code_lengths(ex3, PrefixCode({"a": "0", "b": "1"}))
+        with pytest.raises(AlphabetMismatch):
+            expected_length(ex3, (1, 1))
+
+
+class TestCodeLengths:
+    def test_source_order(self, ex3):
+        code = PrefixCode({"d": "111", "c": "110", "b": "10", "a": "0"})
+        assert code_lengths(ex3, code) == (1, 2, 3, 3)
+
+    def test_extra_symbol(self, ex3):
+        code = PrefixCode({"a": "00", "b": "01", "c": "10", "d": "110",
+                           "e": "111"})
+        with pytest.raises(AlphabetMismatch):
+            code_lengths(ex3, code)

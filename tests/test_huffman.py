@@ -9,17 +9,18 @@ from prefixcodes import (
     Source,
     TiePolicy,
     code_from_tree,
+    code_lengths,
     expected_length,
     huffman_build,
     huffman_enumerate,
     huffmanize,
     is_huffman,
-    length_equivalent,
     sibling_property,
     sibling_property_exhaustive,
     tree_from_code,
 )
 from prefixcodes.core import shape_label
+from prefixcodes.huffman import row_sorted
 from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from conftest import load_code, load_tree
 
@@ -81,9 +82,9 @@ def enumerate_by_resorting(source, cap):
 class TestBuild:
     def test_dyadic_lengths(self, ex1):
         tree = huffman_build(ex1)
-        code = code_from_tree(tree)
-        assert sorted(code.lengths().values()) == [1, 2, 3, 3]
-        assert expected_length(ex1, code) == Fraction(7, 4)
+        lengths = code_lengths(ex1, code_from_tree(tree))
+        assert sorted(lengths) == [1, 2, 3, 3]
+        assert expected_length(ex1, lengths) == Fraction(7, 4)
 
     def test_two_symbols(self):
         src = Source([("x", Fraction(1, 2)), ("y", Fraction(1, 2))])
@@ -91,14 +92,15 @@ class TestBuild:
 
     def test_example3_length(self, ex3):
         tree = huffman_build(ex3)
-        assert expected_length(ex3, code_from_tree(tree)) == Fraction(15, 8)
+        lengths = code_lengths(ex3, code_from_tree(tree))
+        assert expected_length(ex3, lengths) == Fraction(15, 8)
 
     def test_always_complete_and_sibling(self, ex1, ex3, ex4, ex5):
         for src in (ex1, ex3, ex4, ex5):
             for policy in ALL_POLICIES:
                 tree = huffman_build(src, policy)
                 assert tree.is_complete
-                assert sibling_property(src, tree) is not None
+                assert sibling_property(tree) is not None
 
     def test_build_in_enumeration(self, ex1, ex3, ex4, ex5):
         for src in (ex1, ex3, ex4, ex5):
@@ -181,13 +183,13 @@ class TestEnumerate:
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):
             for tree in huffman_enumerate(src):
-                assert sibling_property(src, tree) is not None
+                assert sibling_property(tree) is not None
 
 
 class TestSiblingProperty:
     def test_ex3_huffman_has_listing(self, ex3):
         _, tree = load_tree("ex3.src", "ex3_h.code")
-        listing = sibling_property(ex3, tree)
+        listing = sibling_property(tree)
         assert listing is not None
         # non-increasing probabilities, siblings adjacent
         probs = [tree.prob(i) for i in listing.order]
@@ -199,26 +201,26 @@ class TestSiblingProperty:
 
     def test_ex3_c_has_none(self, ex3):
         _, tree = load_tree("ex3.src", "ex3_c.code")
-        assert sibling_property(ex3, tree) is None
-        assert sibling_property_exhaustive(ex3, tree) is None
+        assert sibling_property(tree) is None
+        assert sibling_property_exhaustive(tree) is None
 
     def test_two_leaves(self):
         src = Source([("x", Fraction(1, 2)), ("y", Fraction(1, 2))])
         tree = tree_from_code(src, {"x": "0", "y": "1"})
-        assert sibling_property(src, tree).order == (1, 2)
+        assert sibling_property(tree).order == (1, 2)
 
     def test_not_complete(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
-            sibling_property(src, tree)
+            sibling_property(tree)
 
     def test_greedy_matches_backtracking(self, ex1, ex3, ex4, ex5):
         from prefixcodes.oracle import enumerate_complete_trees
         for src in (ex1, ex3, ex4, ex5):
             for tree in enumerate_complete_trees(src).members:
-                greedy = sibling_property(src, tree)
-                full = sibling_property_exhaustive(src, tree)
+                greedy = sibling_property(tree)
+                full = sibling_property_exhaustive(tree)
                 assert (greedy is None) == (full is None), tree.label
 
 
@@ -226,44 +228,79 @@ class TestIsHuffman:
     def test_example4(self, ex4):
         _, h2 = load_tree("ex4.src", "ex4_h2.code")
         _, c = load_tree("ex4.src", "ex4_c.code")
-        assert is_huffman(ex4, h2)
-        assert not is_huffman(ex4, c)
+        assert is_huffman(h2)
+        assert not is_huffman(c)
 
     def test_example2_h1(self, ex2):
         _, h1 = load_tree("ex2.src", "ex2_h1.code")
-        assert is_huffman(ex2, h1)
+        assert is_huffman(h1)
 
     def test_non_complete_is_not_huffman(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
         tree = tree_from_code(src, {"a": "0", "b": "10"})
-        assert not is_huffman(src, tree)
+        assert not is_huffman(tree)
 
 
 class TestHuffmanize:
     def test_ex4_c(self, ex4):
         _, c = load_tree("ex4.src", "ex4_c.code")
-        out = huffmanize(ex4, c)
-        assert is_huffman(ex4, out)
+        out = huffmanize(c)
+        assert is_huffman(out)
         assert all(out.depth_of(s) == 2 for s in ex4.symbols)
-        assert length_equivalent(code_from_tree(c), code_from_tree(out))
+        assert (code_lengths(ex4, code_from_tree(c))
+                == code_lengths(ex4, code_from_tree(out)))
 
     def test_ex3_h(self, ex3):
         _, h = load_tree("ex3.src", "ex3_h.code")
-        out = huffmanize(ex3, h)
-        assert is_huffman(ex3, out)
-        assert length_equivalent(code_from_tree(h), code_from_tree(out))
+        out = huffmanize(h)
+        assert is_huffman(out)
+        assert (code_lengths(ex3, code_from_tree(h))
+                == code_lengths(ex3, code_from_tree(out)))
 
     def test_row_sorted_huffman_is_fixed_point(self, ex1):
         _, h1 = load_tree("ex1.src", "ex1_h1.code")
-        assert huffmanize(ex1, h1).label == h1.label
+        assert huffmanize(h1).label == h1.label
 
     def test_rejects_non_optimal(self, ex3):
         _, c = load_tree("ex3.src", "ex3_c.code")
         with pytest.raises(NotOptimal):
-            huffmanize(ex3, c)
+            huffmanize(c)
 
     def test_rejects_non_complete(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
-            huffmanize(src, tree)
+            huffmanize(tree)
+
+
+class TestTreeChecksReadTheTreesSource:
+    """The tree checks take no source: a tree over weights (1, 2, 3, 4)
+    with the Huffman shape of weights (4, 3, 2, 1) over the same symbols
+    is judged by its own weights."""
+
+    @pytest.fixture
+    def trees(self):
+        a = Source.from_weights(zip("abcd", (4, 3, 2, 1)))
+        b = Source.from_weights(zip("abcd", (1, 2, 3, 4)))
+        t = huffman_build(a)
+        return t, tree_from_code(b, code_from_tree(t))
+
+    def test_foreign_huffman_shape_is_not_huffman(self, trees):
+        t, over_b = trees
+        assert is_huffman(t)
+        assert not is_huffman(over_b)
+        assert sibling_property(over_b) is None
+        assert sibling_property_exhaustive(over_b) is None
+
+    def test_huffmanize_rejects_the_foreign_shape(self, trees):
+        _, over_b = trees
+        assert over_b.expected_length() == Fraction(13, 5)
+        assert huffman_build(over_b.source).expected_length() == Fraction(
+            19, 10)
+        with pytest.raises(NotOptimal):
+            huffmanize(over_b)
+
+    def test_results_keep_the_trees_source(self, trees):
+        t, over_b = trees
+        assert huffmanize(t).source is t.source
+        assert row_sorted(over_b).source is over_b.source

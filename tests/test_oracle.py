@@ -7,7 +7,6 @@ from prefixcodes import (
     ClosureResult,
     CodeTree,
     MonotonicityWitness,
-    PrefixCode,
     SiblingListing,
     Source,
     SwapKind,
@@ -24,7 +23,7 @@ from prefixcodes import oracle
 from prefixcodes.core import shape_label
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import catalan, strong_monotonicity_scan
-from conftest import load_code, load_tree, tree_for_label
+from conftest import load_lengths, load_tree, tree_for_label
 
 
 class TestEnumeration:
@@ -107,16 +106,14 @@ class TestOptimalSet:
 
 class TestStrongMonotonicityScan:
     def test_ex3_c_witness(self, ex3):
-        w = strong_monotonicity_scan(ex3, load_code("ex3_c.code"))
+        w = strong_monotonicity_scan(ex3, load_lengths(ex3, "ex3_c.code"))
         assert w == MonotonicityWitness(A=("c", "d"), B=("a",), i=1, j=2)
 
     def test_guard(self):
         n = 21
         src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
-        code = PrefixCode({"s%d" % i: format(i, "b").rjust(5, "0")
-                           for i in range(n)})
         with pytest.raises(AlphabetTooLarge):
-            strong_monotonicity_scan(src, code)
+            strong_monotonicity_scan(src, (5,) * n)
 
 
 class TestVerifyTheorems:
@@ -148,11 +145,27 @@ class TestVerifyTheorems:
         with pytest.raises(AlphabetTooLarge):
             verify_theorems(src)
 
+    @pytest.mark.parametrize("name", ["tied4", "ninths5", "tied6a"])
+    def test_scans_each_length_class_once(self, name, monkeypatch):
+        src = dict(builtin_corpus())[name]
+        scanned = []
+
+        def scan(source, lengths):
+            scanned.append(lengths)
+            return strong_monotonicity_scan(source, lengths)
+
+        monkeypatch.setattr(oracle, "strong_monotonicity_scan", scan)
+        assert verify_theorems(src).all_passed
+        classes = {tuple(map(tree.depth_of, src.symbols))
+                   for tree in enumerate_complete_trees(src).members}
+        assert len(scanned) == len(classes)
+        assert set(scanned) == classes
+
     def test_flags_a_witness_that_differs_from_the_scan(self, ex3,
                                                           monkeypatch):
         # same verdicts as the scan, but a witness with A and B exchanged
-        def swapped(source, code):
-            w = strong_monotonicity_check(source, code)
+        def swapped(source, lengths):
+            w = strong_monotonicity_check(source, lengths)
             return w and MonotonicityWitness(A=w.B, B=w.A, i=w.i, j=w.j)
 
         monkeypatch.setattr(oracle, "strong_monotonicity_check", swapped)
@@ -180,8 +193,8 @@ class TestVerifyDetectsCorruptedInputs:
         def flipped(real):
             calls = []
 
-            def listing(source, tree):
-                found = real(source, tree)
+            def listing(tree):
+                found = real(tree)
                 calls.append(tree)
                 if len(calls) > 1:
                     return found
@@ -213,7 +226,7 @@ class TestVerifyDetectsCorruptedInputs:
         assert _failing(ex3) == {check}
 
     def test_huffman_tree_not_monotone(self, ex3, monkeypatch):
-        monkeypatch.setattr(oracle, "is_monotone", lambda source, tree: False)
+        monkeypatch.setattr(oracle, "is_monotone", lambda tree: False)
         assert _failing(ex3) == {"huffman-trees-monotone"}
 
     def test_huffman_build_not_optimal(self, ex3, monkeypatch):

@@ -16,6 +16,7 @@ from prefixcodes import (
     PrefixCode,
     Source,
     code_from_tree,
+    code_lengths,
     expected_length,
     huffman_build,
     improve_from_witness,
@@ -24,6 +25,7 @@ from prefixcodes import (
 from prefixcodes.analysis import MonotonicityWitness, _least
 from prefixcodes.cli import main, parse_code_text
 from prefixcodes.oracle import strong_monotonicity_scan
+from conftest import tree_lengths
 from test_properties import any_trees
 
 
@@ -85,8 +87,9 @@ def test_agrees_with_scan_on_seeded_codes():
             for witness in (True, False)}
     found = set()
     for source, code, complete in seeded_cases(seed=11, count=700):
-        witness = strong_monotonicity_check(source, code)
-        assert witness == strong_monotonicity_scan(source, code), (
+        lengths = code_lengths(source, code)
+        witness = strong_monotonicity_check(source, lengths)
+        assert witness == strong_monotonicity_scan(source, lengths), (
             source.weights, code.words)
         found.add((complete, witness is not None))
     assert found == seen
@@ -95,9 +98,9 @@ def test_agrees_with_scan_on_seeded_codes():
 @settings(max_examples=300, deadline=None)
 @given(any_trees())
 def test_agrees_with_scan_on_any_tree(tree):
-    code = code_from_tree(tree)
-    assert (strong_monotonicity_check(tree.source, code)
-            == strong_monotonicity_scan(tree.source, code))
+    lengths = tree_lengths(tree)
+    assert (strong_monotonicity_check(tree.source, lengths)
+            == strong_monotonicity_scan(tree.source, lengths))
 
 
 def test_witness_ties_break_to_first_index_tuple():
@@ -107,12 +110,11 @@ def test_witness_ties_break_to_first_index_tuple():
     # greatest P(B) = 4: {s0, s4}, {s1, s4} and {s2, s4}.
     source = Source.from_weights(
         ("s%d" % i, w) for i, w in enumerate([1, 1, 1, 1, 3, 2]))
-    code = PrefixCode({"s0": "011", "s1": "010", "s2": "001", "s3": "11",
-                       "s4": "000", "s5": "10"})
-    witness = strong_monotonicity_check(source, code)
+    lengths = (3, 3, 3, 2, 3, 2)
+    witness = strong_monotonicity_check(source, lengths)
     assert witness == MonotonicityWitness(A=("s0", "s1", "s3"),
                                           B=("s0", "s4"), i=1, j=2)
-    assert witness == strong_monotonicity_scan(source, code)
+    assert witness == strong_monotonicity_scan(source, lengths)
 
 
 class TestLargeAlphabet:
@@ -158,7 +160,7 @@ class TestLargeAlphabet:
                                       i=report["witness"]["i"],
                                       j=report["witness"]["j"])
         with open(path) as f:
-            code = parse_code_text(f.read())
-        better = improve_from_witness(source, code, witness)
-        assert expected_length(source, better) < expected_length(source,
-                                                                 code)
+            lengths = code_lengths(source, parse_code_text(f.read()))
+        better = improve_from_witness(source, lengths, witness)
+        assert (expected_length(source, better)
+                < expected_length(source, lengths))

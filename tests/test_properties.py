@@ -8,6 +8,7 @@ from prefixcodes import (
     available_swaps,
     code_from_lengths,
     code_from_tree,
+    code_lengths,
     expected_length,
     huffman_build,
     is_complete,
@@ -27,6 +28,7 @@ from conftest import (
     kraft_sum_by_fractions,
     reference_arena,
     swapped_code,
+    tree_lengths,
 )
 
 
@@ -73,21 +75,21 @@ def any_trees(draw):
 def test_huffman_tree_is_complete_with_kraft_one(source):
     tree = huffman_build(source)
     assert tree.is_complete
-    assert kraft_sum(code_from_tree(tree)) == 1
+    assert kraft_sum(tree_lengths(tree)) == 1
 
 
 @given(sources(max_symbols=5))
 @settings(max_examples=40, deadline=None)
 def test_huffman_matches_brute_force_minimum(source):
-    code = code_from_tree(huffman_build(source))
-    assert expected_length(source, code) == min_expected_length(source)
+    lengths = tree_lengths(huffman_build(source))
+    assert expected_length(source, lengths) == min_expected_length(source)
 
 
 @given(sources())
 def test_huffman_tree_is_monotone_and_strongly_monotone(source):
     tree = huffman_build(source)
-    assert is_monotone(source, tree)
-    assert strong_monotonicity_check(source, code_from_tree(tree)) is None
+    assert is_monotone(tree)
+    assert strong_monotonicity_check(source, tree_lengths(tree)) is None
 
 
 @given(trees())
@@ -99,15 +101,16 @@ def test_tree_code_round_trip(tree):
     assert code_from_tree(again) == code
     for nid, weight in enumerate(tree.weights):
         assert tree.prob(nid) == Fraction(weight, tree.source.den)
-    assert tree.expected_length() == expected_length(tree.source, code)
+    assert tree.expected_length() == expected_length(
+        tree.source, code_lengths(tree.source, code))
 
 
 @given(trees())
 @settings(max_examples=60, deadline=None)
 def test_code_from_lengths_reproduces_lengths(tree):
-    lengths = code_from_tree(tree).lengths()
+    lengths = tree_lengths(tree)
     rebuilt = code_from_lengths(tree.source, lengths)
-    assert rebuilt.lengths() == lengths  # ctor enforced prefix-freeness
+    assert code_lengths(tree.source, rebuilt) == lengths  # ctor: prefix-free
 
 
 @given(trees(), st.data())
@@ -139,8 +142,8 @@ def test_node_swap_exchanges_codeword_prefixes(tree):
 @given(trees())
 @settings(max_examples=40, deadline=None)
 def test_greedy_sibling_check_matches_backtracking(tree):
-    greedy = sibling_property(tree.source, tree)
-    full = sibling_property_exhaustive(tree.source, tree)
+    greedy = sibling_property(tree)
+    full = sibling_property_exhaustive(tree)
     assert (greedy is None) == (full is None)
 
 
@@ -157,8 +160,10 @@ def test_code_and_kraft_sum_match_per_symbol_forms(tree, data):
         code_by_paths(tree).words.items())
     subset = data.draw(st.lists(st.sampled_from(tree.source.symbols),
                                 unique=True))
-    assert kraft_sum(code, subset) == kraft_sum_by_fractions(code, subset)
-    assert kraft_sum(code) == kraft_sum_by_fractions(code, code.words)
+    lengths = code_lengths(tree.source, code)
+    assert (kraft_sum(lengths[tree.source.index(s)] for s in subset)
+            == kraft_sum_by_fractions(code, subset))
+    assert kraft_sum(lengths) == kraft_sum_by_fractions(code, code.words)
 
 
 @given(trees(), st.data())

@@ -197,7 +197,7 @@ def test_pruned_sibling_search_matches_backtracking(weights):
     sample = trees if len(trees) <= 400 else rng.sample(trees, 400)
     found = 0
     for tree in sample:
-        listing = sibling_property_exhaustive(source, tree)
+        listing = sibling_property_exhaustive(tree)
         order = None if listing is None else listing.order
         assert order == reference_sibling_order(tree), tree.label
         found += order is not None

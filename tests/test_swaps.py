@@ -239,7 +239,7 @@ class TestClosure:
         assert len(closure.members) == 2 ** (len(ex1) - 1) == 8
         assert not closure.truncated
         for label in closure.members:
-            assert is_huffman(ex1, tree_for_label(ex1, label))
+            assert is_huffman(tree_for_label(ex1, label))
 
     def test_example4_closures(self, ex4):
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -256,7 +256,7 @@ class TestClosure:
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
         closure = swap_closure(ex4, h1, PARENT_PROB)
         for label in closure.members:
-            assert is_huffman(ex4, tree_for_label(ex4, label))
+            assert is_huffman(tree_for_label(ex4, label))
 
     def test_moves_back_are_not_new_members(self, ex4):
         # the 24-tree class closes well below the cap only if every move

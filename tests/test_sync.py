@@ -5,6 +5,7 @@ import pytest
 from prefixcodes import (
     Source,
     decoder_step,
+    huffman_build,
     run_string,
     shortest_sync_string,
     tree_from_code,
@@ -148,6 +149,14 @@ class TestShortestSyncString:
         _, h2 = load_tree("ex2.src", "ex2_h2.code")
         with pytest.raises(SubsetCapExceeded):
             shortest_sync_string(h2, subset_cap=2)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_cap_below_one(self, cap):
+        # the string '0' is found after 2 subsets, before any cap test
+        tree = huffman_build(Source.from_weights(zip("abcd", (4, 3, 2, 1))))
+        assert shortest_sync_string(tree, subset_cap=1).string == "0"
+        with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+            shortest_sync_string(tree, subset_cap=cap)
 
     def test_rejects_incomplete(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
