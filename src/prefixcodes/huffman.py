@@ -152,11 +152,22 @@ def sibling_property(tree: CodeTree) -> Optional[SiblingListing]:
     if not tree.is_complete:
         raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
-    pairs.sort(key=itemgetter(0, 1), reverse=True)  # stable: ties keep ids
-    for (_, lo, _, _), (hi, _, _, _) in zip(pairs, pairs[1:]):
-        if lo < hi:
-            return None
+    if not _greedy_listing(pairs):
+        return None
     return SiblingListing(tuple(i for _, _, hi, lo in pairs for i in (hi, lo)))
+
+
+def _greedy_listing(pairs: list) -> bool:
+    """Sort sibling pairs, each (hi, lo, ...), by (hi, lo) descending, in
+    place (stable: ties keep their order), and say whether that order is
+    a listing: no pair outweighs the lo of the pair before it."""
+    pairs.sort(key=itemgetter(0, 1), reverse=True)
+    prev_lo = pairs[0][0]
+    for pair in pairs:
+        if pair[0] > prev_lo:
+            return False
+        prev_lo = pair[1]
+    return True
 
 
 def sibling_property_exhaustive(tree: CodeTree) -> Optional[SiblingListing]:

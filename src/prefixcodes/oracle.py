@@ -8,7 +8,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter, mul
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .analysis import (
     MonotonicityWitness,
@@ -18,15 +20,15 @@ from .analysis import (
 from .core import CodeTree, Shape, Source, _checked_lengths, shape_label
 from .errors import AlphabetTooLarge
 from .huffman import (
+    _greedy_listing,
     huffman_build,
     huffman_enumerate,
-    sibling_property,
     sibling_property_exhaustive,
 )
-from .swaps import SwapKind, swap_closure
+from .swaps import SwapKind, closure_shapes
 
 ENUMERATION_MAX_SYMBOLS = 7
-VERIFY_MAX_SYMBOLS = 6
+VERIFY_MAX_SYMBOLS = 7
 SUBSET_SCAN_MAX_SYMBOLS = 20
 
 _SLOT = "?"  # leaf placeholder inside shape templates
@@ -49,7 +51,10 @@ def _shape_templates(n: int) -> Tuple[Shape, ...]:
     return tuple(shapes)
 
 
-def _leaf_depths(template: Shape, depth: int = 0) -> Tuple[int, ...]:
+def _leaf_depths(template: Optional[Shape], depth: int = 0
+                 ) -> Tuple[int, ...]:
+    if template is None:  # a missing child holds no leaf
+        return ()
     if template == _SLOT:
         return (depth,)
     left, right = template
@@ -97,19 +102,30 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
 
 
 _Fill = Tuple[Tuple[int, ...], Tuple[int, ...]]  # leaf depths, symbol ids
+# per permutation of symbol ids into slots: the ids, a getter that reads
+# a template's leaf depths in source order, and the slots' weights
+_Perm = Tuple[Tuple[int, ...], Callable, Tuple[int, ...]]
+
+
+def _permutations(source: Source) -> List[_Perm]:
+    weights = source.weights
+    return [(perm, itemgetter(*sorted(range(len(perm)),
+                                      key=perm.__getitem__)),
+             tuple(weights[s] for s in perm))
+            for perm in permutations(range(len(source)))]
 
 
 def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
     """Minimum weighted depth sum over all complete trees, and the fill of
     every tree that reaches it."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
-    weights = source.weights
+    perms = _permutations(source)
     best: Optional[int] = None
     fills: List[_Fill] = []
     for template in _shape_templates(len(source)):
         depths = _leaf_depths(template)
-        for perm in permutations(range(len(source))):
-            total = sum(weights[s] * d for s, d in zip(perm, depths))
+        for perm, _, slot_weights in perms:
+            total = sum(map(mul, slot_weights, depths))
             if best is None or total < best:
                 best = total
                 fills = []
@@ -211,50 +227,107 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _tally(tree: CodeTree, index: Dict[str, int]
-           ) -> Tuple[Tuple[int, ...], int, bool]:
-    """One pass over `tree`'s leaves: its length vector (codeword lengths
-    in source order), its weighted depth sum (expected length times `den`)
-    and whether its Kraft sum is 1."""
-    top = tree.depths[-1]  # ids are breadth-first: the last node is deepest
-    lengths = [0] * len(index)
-    total = kraft = 0
-    for symbol, depth, weight in zip(tree.symbols, tree.depths, tree.weights):
-        if symbol is not None:
-            lengths[index[symbol]] = depth
-            total += weight * depth
-            kraft += 1 << (top - depth)
-    return tuple(lengths), total, kraft == 1 << top
+class _Skeleton(NamedTuple):
+    """A shape template as `verify_theorems` reads it: its leaf depths left
+    to right, its internal nodes in post-order as (left, right) references
+    into a fill's node weights (slot i is i, the k-th internal node is
+    n + k), and whether its Kraft sum is 1."""
+    template: Shape
+    depths: Tuple[int, ...]
+    nodes: Tuple[Tuple[int, int], ...]
+    complete: bool
 
 
-def _note(bad: List[str], tree: CodeTree) -> None:
-    """Keep the labels of the first three counterexamples."""
-    if len(bad) < 3:
-        bad.append(tree.label)
+def _skeleton(template: Shape) -> _Skeleton:
+    depths = _leaf_depths(template)
+    slots = iter(range(len(depths)))
+    nodes: List[Tuple[int, int]] = []
+
+    def walk(shape: Optional[Shape]) -> Optional[int]:
+        """List `shape`'s internal nodes in post-order; return its ref."""
+        if shape is None:  # a missing child: the template is incomplete
+            return None
+        if shape == _SLOT:
+            return next(slots)
+        nodes.append((walk(shape[0]), walk(shape[1])))
+        return len(depths) + len(nodes) - 1
+
+    walk(template)
+    top = max(depths)
+    return _Skeleton(template, depths, tuple(nodes),
+                     sum(1 << (top - d) for d in depths) == 1 << top)
+
+
+@lru_cache(maxsize=None)
+def _skeletons(n: int) -> Tuple[_Skeleton, ...]:
+    """The skeleton of every shape template with n slots, in template
+    order: the templates `verify_theorems` reads."""
+    return tuple(map(_skeleton, _shape_templates(n)))
+
+
+def _read(skeleton: _Skeleton, perms: List[_Perm]) -> Iterator[tuple]:
+    """One pass per fill of a complete skeleton: the symbol ids, the length
+    vector, the weighted depth sum (expected length times `den`) and the
+    (hi, lo) weights of each internal node's two children."""
+    depths, nodes = skeleton.depths, skeleton.nodes
+    for perm, lengths_of, slot_weights in perms:
+        weights = list(slot_weights)
+        pairs = []
+        for left, right in nodes:
+            a, b = weights[left], weights[right]
+            weights.append(a + b)
+            pairs.append((a, b) if a >= b else (b, a))
+        yield (perm, lengths_of(depths), sum(map(mul, slot_weights, depths)),
+               pairs)
+
+
+def _fill_key(tree: CodeTree) -> _Fill:
+    """A complete tree's leaf depths and symbol ids, left to right."""
+    index, depths, ids, stack = tree.source.index, [], [], [0]
+    while stack:
+        nid = stack.pop()
+        if tree.symbols[nid] is None:
+            stack += tree.rights[nid], tree.lefts[nid]
+        else:
+            depths.append(tree.depths[nid])
+            ids.append(index(tree.symbols[nid]))
+    return tuple(depths), tuple(ids)
 
 
 def verify_theorems(source: Source) -> VerificationReport:
     """Exhaustively cross-check every characterization on one source.
 
     Runs the optimality / Huffman / swap-equivalence statements against
-    the full enumeration of complete trees, each read in one pass over
-    its nodes.  Only the strong-monotonicity verdict is shared by a
-    length class; trees and closures are compared as sets of shapes.
-    The pairwise same-row swap check is skipped above 5 symbols to stay
-    at desk scale; every other check runs up to 6 symbols.
+    every complete tree, read as a shape template filled by a permutation
+    of the symbols: each template's skeleton is built once, and one pass
+    per fill sums the weights up it.  Trees are compared by fill (leaf
+    depths and symbol ids), and closures as sets of shapes.  The
+    strong-monotonicity verdict is shared by a length class, and the
+    backtracking sibling search by a multiset of sibling weight pairs.  A
+    `CodeTree` is built only to start a closure and to run that search;
+    a counterexample is labelled from its template.  The pairwise
+    same-row swap check is skipped above 5 symbols to stay at desk scale;
+    every other check runs up to 7 symbols.
     """
     _guard(source, VERIFY_MAX_SYMBOLS)
     report = VerificationReport(source=source)
     checks = report.checks
-    index = {s: i for i, s in enumerate(source.symbols)}
+    symbols = source.symbols
 
     # Shapes are compared and hashed by value, which recurses once per
-    # level; VERIFY_MAX_SYMBOLS = 6 bounds the depth at 5.
+    # level; VERIFY_MAX_SYMBOLS = 7 bounds the depth at 6.
     huffman_trees = huffman_enumerate(source)
     huffman_shapes = {t.shape for t in huffman_trees}
-    huffman_length_keys = {_tally(t, index)[0] for t in huffman_trees}
+    huffman_at: Dict[Tuple[int, ...], Dict[Tuple[int, ...], CodeTree]] = {}
+    for tree in huffman_trees:
+        depths, perm = _fill_key(tree)
+        huffman_at.setdefault(depths, {})[perm] = tree
+    huffman_length_keys = {tuple(map(t.depth_of, symbols))
+                           for t in huffman_trees}
     best, fills = _optimum(source)  # one brute-force pass for both
-    opt_shapes = _fill_shapes(source, fills)
+    opt_at: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
+    for depths, perm in fills:
+        opt_at.setdefault(depths, set()).add(perm)
     min_len = Fraction(best, source.den)
 
     # Huffman optimality, independently of the sibling property.
@@ -265,10 +338,10 @@ def verify_theorems(source: Source) -> VerificationReport:
         "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
 
     # Per-length-assignment verdicts are shared by all trees that induce
-    # the same codeword lengths, so memoize on the assignment: the
-    # `_tally` key, a length vector both checks take as is.  None marks
-    # an assignment where package-merge and the subset scan differ
-    # (verdict or witness); it equals no verdict, so it fails the check.
+    # the same codeword lengths, so memoize on the length vector, which
+    # both checks take as is.  None marks an assignment where
+    # package-merge and the subset scan differ (verdict or witness); it
+    # equals no verdict, so it fails the check.
     sm_by_lengths: Dict[Tuple[int, ...], Optional[bool]] = {}
 
     def strongly_monotone(key: Tuple[int, ...]) -> Optional[bool]:
@@ -278,80 +351,103 @@ def verify_theorems(source: Source) -> VerificationReport:
             sm_by_lengths[key] = (witness is None) if agree else None
         return sm_by_lengths[key]
 
-    row_class_checked = len(source) <= 5
-    equivalence_bad: List[str] = []
-    sibling_bad: List[str] = []
-    kraft_bad: List[str] = []
-    monotone_bad: List[str] = []
-    sibling_shapes: Set[Shape] = set()
-    # length key -> (first tree of the class, whether `_optimum` lists it)
-    reps: Dict[Tuple[int, ...], Tuple[CodeTree, bool]] = {}
-    classes: Dict[Tuple[int, ...], Set[Shape]] = {}  # only if row-checked
+    def tree_of(depths: Tuple[int, ...], perm: Tuple[int, ...]) -> CodeTree:
+        return CodeTree(source, _fill(depths, tuple(symbols[s] for s in perm)))
 
-    for tree in enumerate_complete_trees(source).members:
-        key, total, kraft_one = _tally(tree, index)
-        if not kraft_one:  # the checks below presuppose a complete tree
-            _note(kraft_bad, tree)
+    # The first three counterexamples of each check, as (skeleton, perm);
+    # a template's label with the symbols put in its slots is the tree's.
+    bad: Dict[str, List[Tuple[_Skeleton, Tuple[int, ...]]]] = {
+        name: [] for name in ("equivalence", "sibling", "kraft", "monotone")}
+
+    def note(name: str, skeleton: _Skeleton, perm: Tuple[int, ...]) -> None:
+        if len(bad[name]) < 3:
+            bad[name].append((skeleton, perm))
+
+    def labels(name: str) -> List[str]:
+        return [shape_label(skeleton.template).replace(_SLOT, "%s")
+                % tuple(symbols[s] for s in perm)
+                for skeleton, perm in bad[name]]
+
+    row_class_checked = len(source) <= 5
+    # multiset of sibling weight pairs -> whether the backtracking search
+    # lists it; the answer depends on the pairs and the root weight alone
+    listable: Dict[Tuple[Tuple[int, int], ...], bool] = {}
+    sibling_fills: Set[_Fill] = set()
+    # length key -> (first fill of the class, whether `_optimum` lists it)
+    reps: Dict[Tuple[int, ...], Tuple[_Fill, bool]] = {}
+    classes: Dict[Tuple[int, ...], List[_Fill]] = {}  # only if row-checked
+    perms = _permutations(source)
+    checked = 0
+
+    for skeleton in _skeletons(len(source)):
+        depths = skeleton.depths
+        if not skeleton.complete:  # the checks below presuppose one
+            note("kraft", skeleton, perms[0][0])
             continue
-        shape = tree.shape
-        in_opt = shape in opt_shapes
-        optimal = total == best
-        if not (optimal == strongly_monotone(key)
-                == (key in huffman_length_keys) == in_opt):
-            _note(equivalence_bad, tree)
-        greedy = sibling_property(tree)
-        exhaustive = sibling_property_exhaustive(tree)
-        if (greedy is None) != (exhaustive is None):
-            _note(sibling_bad, tree)
-        if greedy is not None:
-            sibling_shapes.add(shape)
-        if shape in huffman_shapes and not is_monotone(tree):
-            _note(monotone_bad, tree)
-        if key not in reps:
-            reps[key] = (tree, in_opt)
-        if row_class_checked:
-            classes.setdefault(key, set()).add(shape)
+        opt_here = opt_at.get(depths, ())
+        for perm, key, total, pairs in _read(skeleton, perms):
+            in_opt = perm in opt_here
+            if not (total == best) == strongly_monotone(key) == (
+                    key in huffman_length_keys) == in_opt:
+                note("equivalence", skeleton, perm)
+            greedy = _greedy_listing(pairs)  # sorts the pairs
+            multiset = tuple(pairs)
+            if multiset not in listable:
+                listable[multiset] = sibling_property_exhaustive(
+                    tree_of(depths, perm)) is not None
+            if greedy != listable[multiset]:
+                note("sibling", skeleton, perm)
+            if greedy:
+                sibling_fills.add((depths, perm))
+            if key not in reps:
+                reps[key] = ((depths, perm), in_opt)
+            if row_class_checked:
+                classes.setdefault(key, []).append((depths, perm))
+        checked += len(perms)
+        for perm, tree in sorted(huffman_at.get(depths, {}).items()):
+            if not is_monotone(tree):
+                note("monotone", skeleton, perm)
 
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",
-        not equivalence_bad,
-        "counterexamples: %s" % equivalence_bad if equivalence_bad
-        else "%d trees checked" % (factorial(len(source))
-                                   * catalan(len(source) - 1))))
+        not bad["equivalence"],
+        "counterexamples: %s" % labels("equivalence") if bad["equivalence"]
+        else "%d trees checked" % checked))
+    same_set = sibling_fills == {(d, p) for d, at in huffman_at.items()
+                                 for p in at}
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
-        not sibling_bad and sibling_shapes == huffman_shapes,
+        not bad["sibling"] and same_set,
         "greedy/backtracking disagreements: %s; listing-set == "
-        "merge-enumeration: %s" % (sibling_bad,
-                                   sibling_shapes == huffman_shapes)))
+        "merge-enumeration: %s" % (labels("sibling"), same_set)))
     checks.append(TheoremCheck(
         "complete-kraft-sum-one",
-        not kraft_bad,
-        "counterexamples: %s" % kraft_bad if kraft_bad else ""))
+        not bad["kraft"],
+        "counterexamples: %s" % labels("kraft") if bad["kraft"] else ""))
     checks.append(TheoremCheck(
         "huffman-trees-monotone",
-        not monotone_bad,
-        "counterexamples: %s" % monotone_bad if monotone_bad else ""))
+        not bad["monotone"],
+        "counterexamples: %s" % labels("monotone") if bad["monotone"]
+        else ""))
 
     # All Huffman trees form one {same-parent, same-probability} class.
-    closure_hp = swap_closure(
-        source, huffman_trees[0],
-        {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY})
+    shapes, truncated = closure_shapes(
+        huffman_trees[0], {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "huffman-swap-equivalence",
-        not closure_hp.truncated and set(closure_hp.shapes) == huffman_shapes,
+        not truncated and set(shapes) == huffman_shapes,
         "closure size %d vs %d enumerated Huffman trees"
-        % (len(closure_hp.shapes), len(huffman_shapes))))
+        % (len(shapes), len(huffman_shapes))))
 
     # All optimal trees form one {same-row, same-probability} class.
-    closure_rp = swap_closure(
-        source, huffman_trees[0],
-        {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
+    opt_shapes = _fill_shapes(source, fills)
+    shapes, truncated = closure_shapes(
+        huffman_trees[0], {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
         "optimal-swap-equivalence",
-        not closure_rp.truncated and set(closure_rp.shapes) == opt_shapes,
+        not truncated and set(shapes) == opt_shapes,
         "closure size %d vs %d optimal trees"
-        % (len(closure_rp.shapes), len(opt_shapes))))
+        % (len(shapes), len(opt_shapes))))
 
     # Every optimal tree's same-row class contains a Huffman tree.
     corollary_ok = True
@@ -362,10 +458,10 @@ def verify_theorems(source: Source) -> VerificationReport:
             detail = "optimal class %s has no Huffman member" % (key,)
             break
     if row_class_checked:
-        for key, (rep, optimal) in reps.items():
-            closure_row = set(swap_closure(source, rep,
-                                           {SwapKind.SAME_ROW}).shapes)
-            if closure_row != classes[key]:
+        for key, (fill, optimal) in reps.items():
+            rep = tree_of(*fill)
+            closure_row = set(closure_shapes(rep, {SwapKind.SAME_ROW})[0])
+            if closure_row != _fill_shapes(source, classes[key]):
                 corollary_ok = False
                 detail = "same-row closure of %s != its length class" % (
                     rep.label)

@@ -14,8 +14,9 @@ tree it was reached from when the arena fields `available_swaps` reads
 are equal, so a swap that keeps them (a row swap keeps every depth) costs
 no listing.  The list rides in the queue beside the tree; a dict of
 listings keyed on those fields would keep every distinct listing alive
-for the whole search.  `swap_closure` renders one label per recorded
-shape.  Moves are serialized as (row, index-in-row) pairs.
+for the whole search.  `closure_shapes` hands back the recorded shapes
+and `swap_closure` renders one label per shape.  Moves are serialized as
+(row, index-in-row) pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
@@ -56,14 +57,10 @@ _Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Sorted canonical labels of the trees a closure recorded, whether the
-    cap cut it short, and, from `swap_closure`, the recorded interned
-    shapes in record order (None for a result built from labels alone;
-    equality ignores them)."""
+    """Sorted canonical labels of the trees a closure recorded, and whether
+    the cap cut it short."""
     members: Tuple[str, ...]
     truncated: bool
-    shapes: Optional[Tuple[Shape, ...]] = field(default=None, compare=False,
-                                                repr=False)
 
 
 def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
@@ -249,15 +246,22 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     return parent, None, truncated
 
 
+def closure_shapes(tree: CodeTree, kinds: Set[SwapKind],
+                   cap: int = DEFAULT_CLOSURE_CAP
+                   ) -> Tuple[Tuple[Shape, ...], bool]:
+    """The interned shapes the closure of `tree` records, in record order,
+    and whether the cap cut it short; renders no label."""
+    parent, _, truncated = _search(tree, kinds, cap)
+    return tuple(shape for shape, _, _ in parent.values()), truncated
+
+
 def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
                  cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """Breadth-first closure of a tree under the requested swap kinds."""
     if tree.source != source:
         raise AlphabetMismatch("tree is not over the given source")
-    parent, _, truncated = _search(tree, kinds, cap)
-    shapes = tuple(shape for shape, _, _ in parent.values())
-    return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated,
-                         shapes)
+    shapes, truncated = closure_shapes(tree, kinds, cap)
+    return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated)
 
 
 def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,

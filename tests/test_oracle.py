@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from prefixcodes import (
-    ClosureResult,
     CodeTree,
     MonotonicityWitness,
     SiblingListing,
@@ -20,9 +21,11 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
-from prefixcodes.core import shape_label
+from prefixcodes.core import kraft_sum
+from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import catalan, strong_monotonicity_scan
+from prefixcodes.swaps import closure_shapes
 from conftest import load_lengths, load_tree, tree_for_label
 
 
@@ -140,10 +143,23 @@ class TestVerifyTheorems:
         assert report.all_passed
 
     def test_guard(self):
-        n = 7
+        n = 8
         src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
         with pytest.raises(AlphabetTooLarge):
             verify_theorems(src)
+
+    def test_seven_symbols(self):
+        src = Source.from_weights(zip("abcdefg", (5, 4, 3, 3, 2, 2, 1)))
+        report = verify_theorems(src)
+        assert len(report.checks) == 8
+        assert report.all_passed, [c for c in report.checks if not c.passed]
+        details = {c.name: c.detail for c in report.checks}
+        read = details["optimal-iff-strongly-monotone-iff-length-equivalent"]
+        assert read == "%d trees checked" % (factorial(7) * catalan(6))
+        assert details["huffman-swap-equivalence"] == (
+            "closure size 768 vs 768 enumerated Huffman trees")
+        assert details["optimal-swap-equivalence"] == (
+            "closure size 1152 vs 1152 optimal trees")
 
     @pytest.mark.parametrize("name", ["tied4", "ninths5", "tied6a"])
     def test_scans_each_length_class_once(self, name, monkeypatch):
@@ -183,27 +199,48 @@ class TestVerifyDetectsCorruptedInputs:
     """Each check fails when one of its inputs is corrupted, so none is a
     tautology; each test also names every other check that fails."""
 
-    @pytest.mark.parametrize("names", [
-        ("sibling_property_exhaustive",),
+    @pytest.mark.parametrize("flip_greedy, disagree, same_set", [
+        (False, True, True),
         # the two listings agree, but not with the merge enumeration
-        ("sibling_property", "sibling_property_exhaustive"),
+        (True, False, False),
     ], ids=["exhaustive", "both"])
     def test_sibling_listing_flipped_on_one_tree(self, ex3, monkeypatch,
-                                                 names):
-        def flipped(real):
-            calls = []
+                                                 flip_greedy, disagree,
+                                                 same_set):
+        # `verify` runs the backtracking search once per multiset of
+        # sibling weight pairs, on its first tree, and the greedy on every
+        # tree: flip the search on the first tree read, and in "both" the
+        # greedy on every tree that shares that tree's multiset
+        exhaustive, greedy = (oracle.sibling_property_exhaustive,
+                              oracle._greedy_listing)
+        calls, first = [], []
 
-            def listing(tree):
-                found = real(tree)
-                calls.append(tree)
-                if len(calls) > 1:
-                    return found
-                return None if found is not None else SiblingListing(())
-            return listing
+        def flipped_exhaustive(tree):
+            found = exhaustive(tree)
+            calls.append(tree)
+            if len(calls) > 1:
+                return found
+            return None if found is not None else SiblingListing(())
 
-        for name in names:
-            monkeypatch.setattr(oracle, name, flipped(getattr(oracle, name)))
-        assert _failing(ex3) == {"sibling-property-iff-huffman"}
+        def flipped_greedy(pairs):
+            found = greedy(pairs)  # sorts the pairs
+            if not first:
+                first.append(list(pairs))
+            return found != (pairs == first[0])
+
+        monkeypatch.setattr(oracle, "sibling_property_exhaustive",
+                            flipped_exhaustive)
+        if flip_greedy:
+            monkeypatch.setattr(oracle, "_greedy_listing", flipped_greedy)
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "sibling-property-iff-huffman"}
+        first_label = next(enumerate_complete_trees(ex3).members).label
+        detail = checks["sibling-property-iff-huffman"].detail
+        assert detail.startswith("greedy/backtracking disagreements: [%s"
+                                 % (repr(first_label) if disagree else "]"))
+        assert detail.endswith("; listing-set == merge-enumeration: %s"
+                               % same_set)
 
     @pytest.mark.parametrize("kinds, check", [
         ({SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY},
@@ -214,15 +251,13 @@ class TestVerifyDetectsCorruptedInputs:
          "length-equivalent-iff-same-row-swap-equivalent"),
     ], ids=["parent-prob", "row-prob", "row"])
     def test_closure_drops_one_member(self, ex3, monkeypatch, kinds, check):
-        def dropping(source, tree, closure_kinds):
-            result = swap_closure(source, tree, closure_kinds)
+        def dropping(tree, closure_kinds):
+            shapes, truncated = closure_shapes(tree, closure_kinds)
             if closure_kinds != kinds:
-                return result
-            shapes = result.shapes[:-1]
-            return ClosureResult(tuple(sorted(map(shape_label, shapes))),
-                                 result.truncated, shapes)
+                return shapes, truncated
+            return shapes[:-1], truncated
 
-        monkeypatch.setattr(oracle, "swap_closure", dropping)
+        monkeypatch.setattr(oracle, "closure_shapes", dropping)
         assert _failing(ex3) == {check}
 
     def test_huffman_tree_not_monotone(self, ex3, monkeypatch):
@@ -253,23 +288,59 @@ class TestVerifyDetectsCorruptedInputs:
             "optimal-iff-strongly-monotone-iff-length-equivalent"}
 
     def test_enumeration_yields_an_incomplete_tree(self, ex3, monkeypatch):
-        real, extra = oracle.enumerate_complete_trees, []
+        # the templates `verify` reads gain an incomplete one, first
+        real = oracle._skeletons
 
-        def with_incomplete(source):
-            enum = real(source)
-            first = next(enum.members)
-            left, right = first.shape
-            extra.append(CodeTree(source, ((left, None), right)))
-            enum.members = chain([extra[0], first], enum.members)
-            return enum
+        def with_incomplete(n):
+            skeletons = real(n)
+            left, right = skeletons[0].template
+            return (oracle._skeleton(((left, None), right)),) + skeletons
 
-        monkeypatch.setattr(oracle, "enumerate_complete_trees",
-                            with_incomplete)
+        monkeypatch.setattr(oracle, "_skeletons", with_incomplete)
         checks = {c.name: c for c in verify_theorems(ex3).checks}
         assert {n for n, c in checks.items() if not c.passed} == {
             "complete-kraft-sum-one"}
+        # the template's first fill puts the symbols in source order
+        left, right = next(enumerate_complete_trees(ex3).members).shape
+        incomplete = CodeTree(ex3, ((left, None), right))
         assert checks["complete-kraft-sum-one"].detail == (
-            "counterexamples: [%r]" % extra[0].label)
+            "counterexamples: [%r]" % incomplete.label)
+        # the trees read and checked are the complete templates' fills
+        assert checks[
+            "optimal-iff-strongly-monotone-iff-length-equivalent"].detail == (
+            "%d trees checked" % (factorial(4) * catalan(3)))
+
+
+def _seeded_sources():
+    """Sources with 2 to 6 symbols whose weights, drawn from 1-4, tie."""
+    rng = random.Random(17)
+    return [Source.from_weights(("s%d" % i, rng.randint(1, 4))
+                                for i in range(n))
+            for n in (2, 3, 4, 5, 5, 6)]
+
+
+@pytest.mark.parametrize("src", [src for _, src in builtin_corpus()]
+                         + _seeded_sources(),
+                         ids=[name for name, _ in builtin_corpus()]
+                         + ["seeded%d" % k for k in range(6)])
+def test_skeleton_read_agrees_with_the_enumeration(src):
+    # tree by tree, in one order: what `verify` reads off each template's
+    # skeleton equals what the enumerated `CodeTree` gives
+    symbols, den = src.symbols, src.den
+    trees = enumerate_complete_trees(src).members
+    perms = oracle._permutations(src)
+    for skeleton in oracle._skeletons(len(src)):
+        for perm, key, total, pairs in oracle._read(skeleton, perms):
+            tree = next(trees)
+            assert key == tuple(map(tree.depth_of, symbols))
+            assert total == tree.expected_length() * den
+            assert skeleton.complete == tree.is_complete == (
+                kraft_sum(key) == 1)
+            assert sorted(pairs) == sorted(
+                (hi, lo) for hi, lo, _, _ in _sibling_pairs(tree))
+            assert oracle._fill(skeleton.depths,
+                                tuple(symbols[s] for s in perm)) == tree.shape
+    assert next(trees, None) is None
 
 
 class TestBuiltinCorpus:

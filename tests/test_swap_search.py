@@ -23,7 +23,7 @@ from prefixcodes import (
 from prefixcodes import swaps
 from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
-from prefixcodes.swaps import SwapMove, _fold, swapped_shape
+from prefixcodes.swaps import SwapMove, _fold, closure_shapes, swapped_shape
 from conftest import load_tree, random_trees
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
@@ -221,13 +221,14 @@ def test_node_swap_label_is_the_label_of_its_shape(ex4, ex5):
 
 def test_closure_carries_its_shapes_in_record_order(ex4):
     start = huffman_enumerate(ex4)[0]
-    closure = swap_closure(ex4, start, {SwapKind.SAME_ROW,
-                                        SwapKind.SAME_PROBABILITY})
-    assert closure.shapes[0] is start.shape  # recorded in search order
-    labels = tuple(sorted(map(shape_label, closure.shapes)))
+    kinds = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}
+    shapes, truncated = closure_shapes(start, kinds)
+    closure = swap_closure(ex4, start, kinds)
+    assert shapes[0] is start.shape  # recorded in search order
+    labels = tuple(sorted(map(shape_label, shapes)))
     assert closure.members == labels and len(set(labels)) == len(labels)
+    assert closure.truncated is truncated is False
     by_labels = ClosureResult(labels, closure.truncated)
-    assert by_labels.shapes is None
     assert by_labels == closure and hash(by_labels) == hash(closure)
     assert by_labels != ClosureResult(labels[1:], closure.truncated)
     assert by_labels != ClosureResult(labels, not closure.truncated)
