@@ -51,7 +51,7 @@ from .huffman import (
     huffman_build,
     huffman_enumerate,
 )
-from .oracle import VERIFY_MAX_SYMBOLS, builtin_corpus, verify_theorems
+from .oracle import ENUMERATION_MAX_SYMBOLS, builtin_corpus, verify_theorems
 from .swaps import (
     DEFAULT_CLOSURE_CAP,
     SwapKind,
@@ -287,13 +287,13 @@ def cmd_sync(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.corpus == bool(args.source):
+        raise ParseError("verify needs a source file or --corpus, not both")
     if args.corpus:
         sources = builtin_corpus()
-    elif args.source:
-        sources = [(args.source, _load_source(args.source))]
     else:
-        raise ParseError("verify needs a source file or --corpus")
-    max_n = min(args.max_n, VERIFY_MAX_SYMBOLS)
+        sources = [(args.source, _load_source(args.source))]
+    max_n = min(args.max_n, ENUMERATION_MAX_SYMBOLS)
     all_ok = True
     results = []
     for name, source in sources:
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force theorem checks")
     p.add_argument("source", nargs="?")
     p.add_argument("--corpus", action="store_true")
-    p.add_argument("--max-n", type=positive_int, default=VERIFY_MAX_SYMBOLS)
+    p.add_argument("--max-n", type=positive_int,
+                   default=ENUMERATION_MAX_SYMBOLS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -9,8 +9,8 @@ from functools import lru_cache
 from math import comb, factorial
 from itertools import permutations
 from operator import itemgetter, mul
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from .analysis import (
     MonotonicityWitness,
@@ -27,11 +27,10 @@ from .huffman import (
 )
 from .swaps import SwapKind, closure_shapes
 
-ENUMERATION_MAX_SYMBOLS = 7
-VERIFY_MAX_SYMBOLS = 7
+ENUMERATION_MAX_SYMBOLS = 7  # also `verify_theorems`, which enumerates
 SUBSET_SCAN_MAX_SYMBOLS = 20
 
-_SLOT = "?"  # leaf placeholder inside shape templates
+_Depths = Tuple[int, ...]  # a tree's leaf depths, left to right
 
 
 def catalan(n: int) -> int:
@@ -39,36 +38,26 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _shape_templates(n: int) -> Tuple[Shape, ...]:
-    """All ordered complete binary tree shapes with n leaf slots."""
+def _templates(n: int) -> Tuple[_Depths, ...]:
+    """Every ordered complete binary tree with n leaves, as its leaf depths
+    left to right: by left-subtree size, then left subtree, then right."""
     if n == 1:
-        return (_SLOT,)
-    shapes: List[Shape] = []
-    for k in range(1, n):
-        for left in _shape_templates(k):
-            for right in _shape_templates(n - k):
-                shapes.append((left, right))
-    return tuple(shapes)
+        return ((0,),)
+    return tuple(tuple(d + 1 for d in left + right)
+                 for k in range(1, n)
+                 for left in _templates(k) for right in _templates(n - k))
 
 
-def _leaf_depths(template: Optional[Shape], depth: int = 0
-                 ) -> Tuple[int, ...]:
-    if template is None:  # a missing child holds no leaf
-        return ()
-    if template == _SLOT:
-        return (depth,)
-    left, right = template
-    return _leaf_depths(left, depth + 1) + _leaf_depths(right, depth + 1)
-
-
-def _fill(depths: Tuple[int, ...], symbols: Tuple[str, ...]) -> Shape:
-    """The complete tree with leaves `symbols` at `depths`, left to right:
-    each subtree joins the one before it while the two are at one depth."""
-    stack: List[Tuple[Shape, int]] = []
-    for shape, depth in zip(symbols, depths):
+def _fill(depths: _Depths, leaves: Iterable,
+          join: Callable = lambda left, right: (left, right)):
+    """The complete tree with `leaves` at `depths`, left to right: each
+    subtree joins the one before it while the two are at one depth.  The
+    default `join` builds a shape; joins happen in post-order."""
+    stack: List[tuple] = []
+    for node, depth in zip(leaves, depths):
         while stack and stack[-1][1] == depth:
-            shape, depth = (stack.pop()[0], shape), depth - 1
-        stack.append((shape, depth))
+            node, depth = join(stack.pop()[0], node), depth - 1
+        stack.append((node, depth))
     return stack[0][0]
 
 
@@ -90,10 +79,9 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
     """Stream every complete, leaf-labeled, orientation-distinct tree."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     n = len(source)
-    templates = [_leaf_depths(t) for t in _shape_templates(n)]
 
     def gen() -> Iterator[CodeTree]:
-        for depths in templates:
+        for depths in _templates(n):
             for perm in permutations(source.symbols):
                 yield CodeTree(source, _fill(depths, perm))
 
@@ -101,7 +89,7 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
                            count=factorial(n) * catalan(n - 1))
 
 
-_Fill = Tuple[Tuple[int, ...], Tuple[int, ...]]  # leaf depths, symbol ids
+_Fill = Tuple[_Depths, Tuple[int, ...]]  # a template and its symbol ids
 # per permutation of symbol ids into slots: the ids, a getter that reads
 # a template's leaf depths in source order, and the slots' weights
 _Perm = Tuple[Tuple[int, ...], Callable, Tuple[int, ...]]
@@ -122,8 +110,7 @@ def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
     perms = _permutations(source)
     best: Optional[int] = None
     fills: List[_Fill] = []
-    for template in _shape_templates(len(source)):
-        depths = _leaf_depths(template)
+    for depths in _templates(len(source)):
         for perm, _, slot_weights in perms:
             total = sum(map(mul, slot_weights, depths))
             if best is None or total < best:
@@ -228,41 +215,33 @@ class VerificationReport:
 
 
 class _Skeleton(NamedTuple):
-    """A shape template as `verify_theorems` reads it: its leaf depths left
-    to right, its internal nodes in post-order as (left, right) references
+    """A template as `verify_theorems` reads it: its leaf depths left to
+    right, its internal nodes in post-order as (left, right) references
     into a fill's node weights (slot i is i, the k-th internal node is
     n + k), and whether its Kraft sum is 1."""
-    template: Shape
-    depths: Tuple[int, ...]
+    depths: _Depths
     nodes: Tuple[Tuple[int, int], ...]
     complete: bool
 
 
-def _skeleton(template: Shape) -> _Skeleton:
-    depths = _leaf_depths(template)
-    slots = iter(range(len(depths)))
-    nodes: List[Tuple[int, int]] = []
+def _skeleton(depths: _Depths) -> _Skeleton:
+    n, nodes = len(depths), []
 
-    def walk(shape: Optional[Shape]) -> Optional[int]:
-        """List `shape`'s internal nodes in post-order; return its ref."""
-        if shape is None:  # a missing child: the template is incomplete
-            return None
-        if shape == _SLOT:
-            return next(slots)
-        nodes.append((walk(shape[0]), walk(shape[1])))
-        return len(depths) + len(nodes) - 1
+    def join(left: int, right: int) -> int:
+        nodes.append((left, right))
+        return n + len(nodes) - 1
 
-    walk(template)
+    _fill(depths, range(n), join)
     top = max(depths)
-    return _Skeleton(template, depths, tuple(nodes),
+    return _Skeleton(depths, tuple(nodes),
                      sum(1 << (top - d) for d in depths) == 1 << top)
 
 
 @lru_cache(maxsize=None)
 def _skeletons(n: int) -> Tuple[_Skeleton, ...]:
-    """The skeleton of every shape template with n slots, in template
-    order: the templates `verify_theorems` reads."""
-    return tuple(map(_skeleton, _shape_templates(n)))
+    """The skeleton of every template with n leaves, in template order:
+    the templates `verify_theorems` reads."""
+    return tuple(map(_skeleton, _templates(n)))
 
 
 def _read(skeleton: _Skeleton, perms: List[_Perm]) -> Iterator[tuple]:
@@ -281,47 +260,30 @@ def _read(skeleton: _Skeleton, perms: List[_Perm]) -> Iterator[tuple]:
                pairs)
 
 
-def _fill_key(tree: CodeTree) -> _Fill:
-    """A complete tree's leaf depths and symbol ids, left to right."""
-    index, depths, ids, stack = tree.source.index, [], [], [0]
-    while stack:
-        nid = stack.pop()
-        if tree.symbols[nid] is None:
-            stack += tree.rights[nid], tree.lefts[nid]
-        else:
-            depths.append(tree.depths[nid])
-            ids.append(index(tree.symbols[nid]))
-    return tuple(depths), tuple(ids)
-
-
 def verify_theorems(source: Source) -> VerificationReport:
     """Exhaustively cross-check every characterization on one source.
 
     Runs the optimality / Huffman / swap-equivalence statements against
-    every complete tree, read as a shape template filled by a permutation
-    of the symbols: each template's skeleton is built once, and one pass
-    per fill sums the weights up it.  Trees are compared by fill (leaf
-    depths and symbol ids), and closures as sets of shapes.  The
-    strong-monotonicity verdict is shared by a length class, and the
-    backtracking sibling search by a multiset of sibling weight pairs.  A
-    `CodeTree` is built only to start a closure and to run that search;
-    a counterexample is labelled from its template.  The pairwise
-    same-row swap check is skipped above 5 symbols to stay at desk scale;
-    every other check runs up to 7 symbols.
+    every complete tree, read as a template (leaf depths, left to right)
+    filled by a permutation of the symbols: each template's skeleton is
+    built once, and one pass per fill sums the weights up it.  Optimal
+    membership is tested by fill, and the sibling and closure sets are
+    compared as sets of shapes.  The strong-monotonicity verdict is
+    shared by a length class, and the backtracking sibling search by a
+    multiset of sibling weight pairs.  A `CodeTree` is built only to
+    start a closure and to run that search.  The pairwise same-row swap
+    check is skipped above 5 symbols to stay at desk scale; every other
+    check runs up to 7 symbols.
     """
-    _guard(source, VERIFY_MAX_SYMBOLS)
+    _guard(source, ENUMERATION_MAX_SYMBOLS)
     report = VerificationReport(source=source)
     checks = report.checks
     symbols = source.symbols
 
     # Shapes are compared and hashed by value, which recurses once per
-    # level; VERIFY_MAX_SYMBOLS = 7 bounds the depth at 6.
+    # level; ENUMERATION_MAX_SYMBOLS = 7 bounds the depth at 6.
     huffman_trees = huffman_enumerate(source)
     huffman_shapes = {t.shape for t in huffman_trees}
-    huffman_at: Dict[Tuple[int, ...], Dict[Tuple[int, ...], CodeTree]] = {}
-    for tree in huffman_trees:
-        depths, perm = _fill_key(tree)
-        huffman_at.setdefault(depths, {})[perm] = tree
     huffman_length_keys = {tuple(map(t.depth_of, symbols))
                            for t in huffman_trees}
     best, fills = _optimum(source)  # one brute-force pass for both
@@ -351,22 +313,20 @@ def verify_theorems(source: Source) -> VerificationReport:
             sm_by_lengths[key] = (witness is None) if agree else None
         return sm_by_lengths[key]
 
-    def tree_of(depths: Tuple[int, ...], perm: Tuple[int, ...]) -> CodeTree:
-        return CodeTree(source, _fill(depths, tuple(symbols[s] for s in perm)))
+    def shape_of(depths: _Depths, perm: Tuple[int, ...]) -> Shape:
+        return _fill(depths, [symbols[s] for s in perm])
 
-    # The first three counterexamples of each check, as (skeleton, perm);
-    # a template's label with the symbols put in its slots is the tree's.
-    bad: Dict[str, List[Tuple[_Skeleton, Tuple[int, ...]]]] = {
+    # The first three counterexamples of each check: fills, a Huffman
+    # tree's label, or an incomplete template's length vector.
+    bad: Dict[str, list] = {
         name: [] for name in ("equivalence", "sibling", "kraft", "monotone")}
 
-    def note(name: str, skeleton: _Skeleton, perm: Tuple[int, ...]) -> None:
+    def note(name: str, counterexample) -> None:
         if len(bad[name]) < 3:
-            bad[name].append((skeleton, perm))
+            bad[name].append(counterexample)
 
     def labels(name: str) -> List[str]:
-        return [shape_label(skeleton.template).replace(_SLOT, "%s")
-                % tuple(symbols[s] for s in perm)
-                for skeleton, perm in bad[name]]
+        return [shape_label(shape_of(*fill)) for fill in bad[name]]
 
     row_class_checked = len(source) <= 5
     # multiset of sibling weight pairs -> whether the backtracking search
@@ -382,21 +342,21 @@ def verify_theorems(source: Source) -> VerificationReport:
     for skeleton in _skeletons(len(source)):
         depths = skeleton.depths
         if not skeleton.complete:  # the checks below presuppose one
-            note("kraft", skeleton, perms[0][0])
+            note("kraft", depths)  # its first fill's length vector
             continue
         opt_here = opt_at.get(depths, ())
         for perm, key, total, pairs in _read(skeleton, perms):
             in_opt = perm in opt_here
             if not (total == best) == strongly_monotone(key) == (
                     key in huffman_length_keys) == in_opt:
-                note("equivalence", skeleton, perm)
+                note("equivalence", (depths, perm))
             greedy = _greedy_listing(pairs)  # sorts the pairs
             multiset = tuple(pairs)
             if multiset not in listable:
                 listable[multiset] = sibling_property_exhaustive(
-                    tree_of(depths, perm)) is not None
+                    CodeTree(source, shape_of(depths, perm))) is not None
             if greedy != listable[multiset]:
-                note("sibling", skeleton, perm)
+                note("sibling", (depths, perm))
             if greedy:
                 sibling_fills.add((depths, perm))
             if key not in reps:
@@ -404,17 +364,16 @@ def verify_theorems(source: Source) -> VerificationReport:
             if row_class_checked:
                 classes.setdefault(key, []).append((depths, perm))
         checked += len(perms)
-        for perm, tree in sorted(huffman_at.get(depths, {}).items()):
-            if not is_monotone(tree):
-                note("monotone", skeleton, perm)
+    for tree in huffman_trees:
+        if not is_monotone(tree):
+            note("monotone", tree.label)
 
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",
         not bad["equivalence"],
         "counterexamples: %s" % labels("equivalence") if bad["equivalence"]
         else "%d trees checked" % checked))
-    same_set = sibling_fills == {(d, p) for d, at in huffman_at.items()
-                                 for p in at}
+    same_set = _fill_shapes(source, sibling_fills) == huffman_shapes
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
         not bad["sibling"] and same_set,
@@ -423,11 +382,11 @@ def verify_theorems(source: Source) -> VerificationReport:
     checks.append(TheoremCheck(
         "complete-kraft-sum-one",
         not bad["kraft"],
-        "counterexamples: %s" % labels("kraft") if bad["kraft"] else ""))
+        "counterexamples: %s" % bad["kraft"] if bad["kraft"] else ""))
     checks.append(TheoremCheck(
         "huffman-trees-monotone",
         not bad["monotone"],
-        "counterexamples: %s" % labels("monotone") if bad["monotone"]
+        "counterexamples: %s" % bad["monotone"] if bad["monotone"]
         else ""))
 
     # All Huffman trees form one {same-parent, same-probability} class.
@@ -459,7 +418,7 @@ def verify_theorems(source: Source) -> VerificationReport:
             break
     if row_class_checked:
         for key, (fill, optimal) in reps.items():
-            rep = tree_of(*fill)
+            rep = CodeTree(source, shape_of(*fill))
             closure_row = set(closure_shapes(rep, {SwapKind.SAME_ROW})[0])
             if closure_row != _fill_shapes(source, classes[key]):
                 corollary_ok = False

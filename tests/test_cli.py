@@ -278,6 +278,13 @@ class TestVerifyCommand:
     def test_needs_input(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_source_and_corpus_is_input_error(self, capsys):
+        # neither input is dropped in silence: the corpus does not run
+        assert main(["verify", fx("ex1.src"), "--corpus"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "verify needs a source file or --corpus, not both" in err
+
     @pytest.mark.parametrize("max_n", ["0", "-1"])
     def test_max_n_below_one_is_input_error(self, max_n, capsys):
         with pytest.raises(SystemExit) as exc:

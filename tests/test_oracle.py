@@ -13,6 +13,7 @@ from prefixcodes import (
     SwapKind,
     builtin_corpus,
     enumerate_complete_trees,
+    huffman_enumerate,
     min_expected_length,
     optimal_set,
     strong_monotonicity_check,
@@ -21,7 +22,7 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
-from prefixcodes.core import kraft_sum
+from prefixcodes.core import code_from_tree, kraft_sum
 from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import catalan, strong_monotonicity_scan
@@ -45,9 +46,19 @@ class TestEnumeration:
             assert len(labels) == expected  # all distinct
 
     def test_fills_each_template_left_to_right(self):
-        # the trees, and their order, of a fill that recurses on the template
+        # the trees, and their order: every nested template with n leaf
+        # slots, by left-subtree size, then left, then right, each filled
+        # left to right by every permutation of the symbols
+        slot = None
+
+        def templates(n):
+            if n == 1:
+                return [slot]
+            return [(left, right) for k in range(1, n)
+                    for left in templates(k) for right in templates(n - k)]
+
         def fill(template, feed):
-            if template == oracle._SLOT:
+            if template is slot:
                 return next(feed)
             return (fill(template[0], feed), fill(template[1], feed))
 
@@ -55,8 +66,28 @@ class TestEnumeration:
             src = Source.from_weights(("s%d" % i, i + 1) for i in range(n))
             shapes = [t.shape for t in enumerate_complete_trees(src).members]
             assert shapes == [fill(template, iter(perm))
-                              for template in oracle._shape_templates(n)
+                              for template in templates(n)
                               for perm in permutations(src.symbols)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_templates_are_leaf_depths_left_to_right(self, n):
+        templates = oracle._templates(n)
+        assert len(set(templates)) == len(templates) == catalan(n - 1)
+        symbols = ["s%d" % i for i in range(n)]
+        for depths in templates:
+            assert len(depths) == n
+            assert sum(Fraction(1, 2 ** d) for d in depths) == 1
+            if n == 1:  # a source needs two symbols; the tree is its leaf
+                assert oracle._fill(depths, symbols) == "s0"
+                continue
+            src = Source.from_weights((s, 1) for s in symbols)
+            leaves = symbols[::-1]  # not the source order
+            tree = CodeTree(src, oracle._fill(depths, leaves))
+            # prefix-free codewords sort into left-to-right leaf order
+            words = sorted(code_from_tree(tree).words.items(),
+                           key=lambda item: item[1])
+            assert [sym for sym, _ in words] == leaves
+            assert tuple(len(word) for _, word in words) == depths
 
     def test_count_formula(self):
         # n! * Catalan(n-1) complete trees on n labeled leaves
@@ -264,6 +295,17 @@ class TestVerifyDetectsCorruptedInputs:
         monkeypatch.setattr(oracle, "is_monotone", lambda tree: False)
         assert _failing(ex3) == {"huffman-trees-monotone"}
 
+    def test_last_huffman_tree_not_monotone(self, ex3, monkeypatch):
+        # every Huffman tree is checked, and named by its own label
+        last = huffman_enumerate(ex3)[-1]
+        monkeypatch.setattr(oracle, "is_monotone",
+                            lambda tree: tree.shape != last.shape)
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "huffman-trees-monotone"}
+        assert checks["huffman-trees-monotone"].detail == (
+            "counterexamples: [%r]" % last.label)
+
     def test_huffman_build_not_optimal(self, ex3, monkeypatch):
         worst = max(enumerate_complete_trees(ex3).members,
                     key=lambda t: t.expected_length())
@@ -288,23 +330,23 @@ class TestVerifyDetectsCorruptedInputs:
             "optimal-iff-strongly-monotone-iff-length-equivalent"}
 
     def test_enumeration_yields_an_incomplete_tree(self, ex3, monkeypatch):
-        # the templates `verify` reads gain an incomplete one, first
+        # the templates `verify` reads gain an incomplete one, first: the
+        # first template with its first leaf one row deeper
+        first, *rest = oracle._templates(4)[0]
+        incomplete = (first + 1, *rest)
+        assert incomplete == (2, 2, 3, 3)
+        assert kraft_sum(incomplete) == Fraction(3, 4)
         real = oracle._skeletons
-
-        def with_incomplete(n):
-            skeletons = real(n)
-            left, right = skeletons[0].template
-            return (oracle._skeleton(((left, None), right)),) + skeletons
-
-        monkeypatch.setattr(oracle, "_skeletons", with_incomplete)
+        monkeypatch.setattr(
+            oracle, "_skeletons",
+            lambda n: (oracle._skeleton(incomplete),) + real(n))
         checks = {c.name: c for c in verify_theorems(ex3).checks}
         assert {n for n, c in checks.items() if not c.passed} == {
             "complete-kraft-sum-one"}
-        # the template's first fill puts the symbols in source order
-        left, right = next(enumerate_complete_trees(ex3).members).shape
-        incomplete = CodeTree(ex3, ((left, None), right))
+        # an incomplete tuple fixes no tree: its first fill, which puts the
+        # symbols in source order, is reported as its length vector
         assert checks["complete-kraft-sum-one"].detail == (
-            "counterexamples: [%r]" % incomplete.label)
+            "counterexamples: [(2, 2, 3, 3)]")
         # the trees read and checked are the complete templates' fills
         assert checks[
             "optimal-iff-strongly-monotone-iff-length-equivalent"].detail == (
