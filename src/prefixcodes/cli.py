@@ -158,6 +158,8 @@ def _parse_kinds(text: str) -> set:
 
 
 def cmd_huffman(args) -> int:
+    if args.all and args.dot:
+        raise ParseError("huffman --dot draws one tree, not --all")
     source = _load_source(args.source)
     if args.all:
         trees = huffman_enumerate(source, cap=args.cap)

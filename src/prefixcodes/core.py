@@ -334,18 +334,34 @@ class CodeTree:
 ShapeTable = Dict[object, Shape]
 
 
-def interned(tree: CodeTree, table: ShapeTable) -> Shape:
+def interned(tree: CodeTree, table: ShapeTable,
+             canonical: bool = False) -> Shape:
     """Enter `tree`'s shapes in `table` (its own, where the table holds no
-    equal one) and return the root's."""
+    equal one) and return the root's.
+
+    With `canonical`, the shapes are those of the tree's canonical
+    orientation: each node with two children puts the one holding the
+    least source index on its left, and a node with one child keeps it
+    on its side.  Trees that differ only by swapping siblings then give
+    one shape, one object in the table.
+    """
     shapes, lefts, rights = tree.shapes, tree.lefts, tree.rights
+    index = tree.source._index
     held: Dict[Optional[int], Shape] = {None: None}
+    least: Dict[Optional[int], int] = {None: len(index)}  # index below
     for nid in range(len(shapes) - 1, -1, -1):  # children after parents
         shape = key = shapes[nid]
         if tree.symbols[nid] is None:
-            left, right = held[lefts[nid]], held[rights[nid]]
+            left, right = lefts[nid], rights[nid]
+            least[nid] = min(least[left], least[right])
+            if canonical and left is not None and least[right] < least[left]:
+                left, right = right, left
+            left, right = held[left], held[right]
             key = (id(left), id(right))
             if left is not shape[0] or right is not shape[1]:
                 shape = (left, right)
+        else:
+            least[nid] = index[shape]
         held[nid] = table.setdefault(key, shape)
     return held[0]
 

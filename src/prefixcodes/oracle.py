@@ -8,16 +8,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from itertools import permutations
-from operator import itemgetter, mul
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from operator import mul
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .analysis import (
     MonotonicityWitness,
     is_monotone,
     strong_monotonicity_check,
 )
-from .core import CodeTree, Shape, Source, _checked_lengths, shape_label
+from .core import (CodeTree, Shape, ShapeTable, Source, _checked_lengths,
+                   _kraft, interned, shape_label)
 from .errors import AlphabetTooLarge
 from .huffman import (
     _greedy_listing,
@@ -27,7 +28,7 @@ from .huffman import (
 )
 from .swaps import SwapKind, closure_shapes
 
-ENUMERATION_MAX_SYMBOLS = 7  # also `verify_theorems`, which enumerates
+ENUMERATION_MAX_SYMBOLS = 8  # also `verify_theorems`, which enumerates
 SUBSET_SCAN_MAX_SYMBOLS = 20
 
 _Depths = Tuple[int, ...]  # a tree's leaf depths, left to right
@@ -89,36 +90,103 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
                            count=factorial(n) * catalan(n - 1))
 
 
-_Fill = Tuple[_Depths, Tuple[int, ...]]  # a template and its symbol ids
-# per permutation of symbol ids into slots: the ids, a getter that reads
-# a template's leaf depths in source order, and the slots' weights
-_Perm = Tuple[Tuple[int, ...], Callable, Tuple[int, ...]]
+_JOIN = -1  # an internal node in a post-order code
+_Code = Tuple[int, ...]  # a tree in post-order: symbol ids and joins
+_Read = Tuple[_Code, Tuple[int, ...], int, List[Tuple[int, int]]]
 
 
-def _permutations(source: Source) -> List[_Perm]:
-    weights = source.weights
-    return [(perm, itemgetter(*sorted(range(len(perm)),
-                                      key=perm.__getitem__)),
-             tuple(weights[s] for s in perm))
-            for perm in permutations(range(len(source)))]
+def _codes(n: int) -> Iterator[_Code]:
+    """Every unordered labelled complete tree on symbol ids 0..n-1 once,
+    as its post-order code: ids, and `_JOIN`s that each join the two
+    subtrees before them, left then right.
+
+    Leaf insertion (Schröder 1870): id k joins a tree on ids 0..k-1 as
+    (x, k), in place of any of its 2k - 1 nodes x.  A node's code ends
+    with the node, so (k, _JOIN) goes right after x's.  Each tree comes
+    once, (2n - 3)!! in all, and in canonical orientation: x holds an id
+    below k, so the least id below each node stays in its left subtree.
+    """
+    stack = [(0,)]
+    while stack:
+        code = stack.pop()
+        k = len(code) // 2 + 1  # a code on k ids has 2k - 1 entries
+        if k == n:
+            yield code
+        else:
+            stack.extend(code[:p] + (k, _JOIN) + code[p:]
+                         for p in range(len(code), 0, -1))
 
 
-def _optimum(source: Source) -> Tuple[int, List[_Fill]]:
-    """Minimum weighted depth sum over all complete trees, and the fill of
-    every tree that reaches it."""
+def _lengths(code: _Code, n: int) -> Tuple[int, ...]:
+    """The length vector of a code's tree, read right to left: each entry
+    fills the last open child slot, and a join opens two one level down."""
+    lengths, slots = [0] * n, [0]
+    for t in reversed(code):
+        depth = slots.pop()
+        if t == _JOIN:
+            slots += (depth + 1, depth + 1)
+        else:
+            lengths[t] = depth
+    return tuple(lengths)
+
+
+def _unordered(source: Source) -> Iterator[_Read]:
+    """Per unordered complete tree: its code, its length vector, its
+    weighted depth sum (expected length times `den`) and the (hi, lo)
+    weights of each join's two children.  All but the code are the same
+    on each of the tree's 2^(n-1) orientations."""
+    weights, n = source.weights, len(source)
+    for code in _codes(n):
+        lengths = _lengths(code, n)
+        stack: List[int] = []
+        pairs = []
+        for t in code:
+            if t == _JOIN:
+                b, a = stack.pop(), stack.pop()
+                stack.append(a + b)
+                pairs.append((a, b) if a >= b else (b, a))
+            else:
+                stack.append(weights[t])
+        yield code, lengths, sum(map(mul, weights, lengths)), pairs
+
+
+def _shapes(source: Source, code: _Code, flips: bool = False
+            ) -> List[Shape]:
+    """The shape of a code's tree, or with `flips` all 2^(n-1) of its
+    orientations: each join in both orders."""
+    symbols, stack = source.symbols, []
+    for t in code:
+        if t == _JOIN:
+            right, left = stack.pop(), stack.pop()
+            joined = [(a, b) for a in left for b in right]
+            if flips:
+                joined += [(b, a) for a in left for b in right]
+            stack.append(joined)
+        else:
+            stack.append([symbols[t]])
+    return stack[0]
+
+
+def _ordered(source: Source, codes: Iterable[_Code]) -> Set[Shape]:
+    """Every ordered tree the codes' unordered trees stand for."""
+    return {shape for code in codes for shape in _shapes(source, code, True)}
+
+
+def _optimum(source: Source) -> Tuple[int, List[_Code]]:
+    """Minimum weighted depth sum over all complete trees, and the code of
+    every unordered tree that reaches it."""
     _guard(source, ENUMERATION_MAX_SYMBOLS)
-    perms = _permutations(source)
+    weights, n = source.weights, len(source)
     best: Optional[int] = None
-    fills: List[_Fill] = []
-    for depths in _templates(len(source)):
-        for perm, _, slot_weights in perms:
-            total = sum(map(mul, slot_weights, depths))
-            if best is None or total < best:
-                best = total
-                fills = []
-            if total == best:
-                fills.append((depths, perm))
-    return best, fills
+    codes: List[_Code] = []
+    for code in _codes(n):
+        total = sum(map(mul, weights, _lengths(code, n)))
+        if best is None or total < best:
+            best = total
+            codes = []
+        if total == best:
+            codes.append(code)
+    return best, codes
 
 
 def min_expected_length(source: Source) -> Fraction:
@@ -128,12 +196,7 @@ def min_expected_length(source: Source) -> Fraction:
 
 def optimal_set(source: Source) -> Set[str]:
     """Canonical labels of every minimum-expected-length complete tree."""
-    return set(map(shape_label, _fill_shapes(source, _optimum(source)[1])))
-
-
-def _fill_shapes(source: Source, fills: List[_Fill]) -> Set[Shape]:
-    symbols = source.symbols
-    return {_fill(d, tuple(symbols[s] for s in perm)) for d, perm in fills}
+    return set(map(shape_label, _ordered(source, _optimum(source)[1])))
 
 
 def strong_monotonicity_scan(source: Source, lengths: Sequence[int]
@@ -151,25 +214,20 @@ def strong_monotonicity_scan(source: Source, lengths: Sequence[int]
     n = len(symbols)
     lengths = _checked_lengths(source, lengths)
     weight_bits = max(lengths)
-    kraft_w = [1 << (weight_bits - l) for l in lengths]
     prob_w = source.weights  # probabilities as integers over source.den
 
-    size = 1 << n
-    ksum = [0] * size
-    psum = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        idx = low.bit_length() - 1
-        ksum[mask] = ksum[rest] + kraft_w[idx]
-        psum[mask] = psum[rest] + prob_w[idx]
+    ksum, psum = [0], [0]  # per bit mask, built one symbol at a time
+    for length, weight in zip(lengths, prob_w):
+        kraft = 1 << (weight_bits - length)
+        ksum += [num + kraft for num in ksum]
+        psum += [p + weight for p in psum]
 
     def subset_key(mask: int) -> Tuple[int, ...]:
         return tuple(i for i in range(n) if mask >> i & 1)
 
     min_p: Dict[int, Tuple[int, int]] = {}  # exponent -> (psum, mask)
     max_p: Dict[int, Tuple[int, int]] = {}
-    for mask in range(1, size):
+    for mask in range(1, 1 << n):
         num = ksum[mask]
         if num & (num - 1):
             continue  # not a power of two
@@ -214,82 +272,41 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-class _Skeleton(NamedTuple):
-    """A template as `verify_theorems` reads it: its leaf depths left to
-    right, its internal nodes in post-order as (left, right) references
-    into a fill's node weights (slot i is i, the k-th internal node is
-    n + k), and whether its Kraft sum is 1."""
-    depths: _Depths
-    nodes: Tuple[Tuple[int, int], ...]
-    complete: bool
-
-
-def _skeleton(depths: _Depths) -> _Skeleton:
-    n, nodes = len(depths), []
-
-    def join(left: int, right: int) -> int:
-        nodes.append((left, right))
-        return n + len(nodes) - 1
-
-    _fill(depths, range(n), join)
-    top = max(depths)
-    return _Skeleton(depths, tuple(nodes),
-                     sum(1 << (top - d) for d in depths) == 1 << top)
-
-
-@lru_cache(maxsize=None)
-def _skeletons(n: int) -> Tuple[_Skeleton, ...]:
-    """The skeleton of every template with n leaves, in template order:
-    the templates `verify_theorems` reads."""
-    return tuple(map(_skeleton, _templates(n)))
-
-
-def _read(skeleton: _Skeleton, perms: List[_Perm]) -> Iterator[tuple]:
-    """One pass per fill of a complete skeleton: the symbol ids, the length
-    vector, the weighted depth sum (expected length times `den`) and the
-    (hi, lo) weights of each internal node's two children."""
-    depths, nodes = skeleton.depths, skeleton.nodes
-    for perm, lengths_of, slot_weights in perms:
-        weights = list(slot_weights)
-        pairs = []
-        for left, right in nodes:
-            a, b = weights[left], weights[right]
-            weights.append(a + b)
-            pairs.append((a, b) if a >= b else (b, a))
-        yield (perm, lengths_of(depths), sum(map(mul, slot_weights, depths)),
-               pairs)
-
-
 def verify_theorems(source: Source) -> VerificationReport:
     """Exhaustively cross-check every characterization on one source.
 
     Runs the optimality / Huffman / swap-equivalence statements against
-    every complete tree, read as a template (leaf depths, left to right)
-    filled by a permutation of the symbols: each template's skeleton is
-    built once, and one pass per fill sums the weights up it.  Optimal
-    membership is tested by fill, and the sibling and closure sets are
-    compared as sets of shapes.  The strong-monotonicity verdict is
-    shared by a length class, and the backtracking sibling search by a
-    multiset of sibling weight pairs.  A `CodeTree` is built only to
-    start a closure and to run that search.  The pairwise same-row swap
-    check is skipped above 5 symbols to stay at desk scale; every other
-    check runs up to 7 symbols.
+    every complete tree.  Each per-tree check reads only what flipping a
+    node's children keeps: the length vector, the weighted depth sum and
+    the multiset of sibling weight pairs.  So each unordered labelled
+    tree (`_unordered`) is checked once, for its 2^(n-1) orientations, and is
+    named by its canonical orientation.  Optimal membership is tested by
+    code.  The trees the greedy sibling check lists are compared with the
+    Huffman trees as canonical forms, and the closures with the ordered
+    trees the codes stand for.  A length class shares its Kraft sum and
+    its strong-monotonicity verdict, and a multiset of sibling weight
+    pairs the backtracking sibling search.  A `CodeTree` is built only
+    to start a closure and to run that search.  The pairwise same-row
+    swap check is skipped above 5 symbols to stay at desk scale; every
+    other check runs up to 8 symbols.
     """
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     report = VerificationReport(source=source)
     checks = report.checks
     symbols = source.symbols
+    flips = 1 << (len(source) - 1)  # the orientations of a tree
 
     # Shapes are compared and hashed by value, which recurses once per
-    # level; ENUMERATION_MAX_SYMBOLS = 7 bounds the depth at 6.
+    # level; ENUMERATION_MAX_SYMBOLS = 8 bounds the depth at 7.
     huffman_trees = huffman_enumerate(source)
     huffman_shapes = {t.shape for t in huffman_trees}
+    table: ShapeTable = {}
+    huffman_forms = {interned(t, table, canonical=True)
+                     for t in huffman_trees}
     huffman_length_keys = {tuple(map(t.depth_of, symbols))
                            for t in huffman_trees}
-    best, fills = _optimum(source)  # one brute-force pass for both
-    opt_at: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
-    for depths, perm in fills:
-        opt_at.setdefault(depths, set()).add(perm)
+    best, opt_codes = _optimum(source)  # one brute-force pass for both
+    optimal = set(opt_codes)
     min_len = Fraction(best, source.den)
 
     # Huffman optimality, independently of the sibling property.
@@ -299,25 +316,8 @@ def verify_theorems(source: Source) -> VerificationReport:
         built.expected_length() == min_len,
         "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
 
-    # Per-length-assignment verdicts are shared by all trees that induce
-    # the same codeword lengths, so memoize on the length vector, which
-    # both checks take as is.  None marks an assignment where
-    # package-merge and the subset scan differ (verdict or witness); it
-    # equals no verdict, so it fails the check.
-    sm_by_lengths: Dict[Tuple[int, ...], Optional[bool]] = {}
-
-    def strongly_monotone(key: Tuple[int, ...]) -> Optional[bool]:
-        if key not in sm_by_lengths:
-            witness = strong_monotonicity_check(source, key)
-            agree = witness == strong_monotonicity_scan(source, key)
-            sm_by_lengths[key] = (witness is None) if agree else None
-        return sm_by_lengths[key]
-
-    def shape_of(depths: _Depths, perm: Tuple[int, ...]) -> Shape:
-        return _fill(depths, [symbols[s] for s in perm])
-
-    # The first three counterexamples of each check: fills, a Huffman
-    # tree's label, or an incomplete template's length vector.
+    # The first three counterexamples of each check: codes, a Huffman
+    # tree's label, or an incomplete length vector.
     bad: Dict[str, list] = {
         name: [] for name in ("equivalence", "sibling", "kraft", "monotone")}
 
@@ -325,45 +325,65 @@ def verify_theorems(source: Source) -> VerificationReport:
         if len(bad[name]) < 3:
             bad[name].append(counterexample)
 
+    # Per-length-assignment verdicts are shared by all trees that induce
+    # the same codeword lengths, so memoize on the length vector, which
+    # both checks take as is.  None marks an assignment where
+    # package-merge and the subset scan differ (verdict or witness); it
+    # equals no verdict, so it fails the check.  A vector whose Kraft sum
+    # is not 1 has no verdict: the checks presuppose a complete tree.
+    incomplete = object()
+    sm_by_lengths: Dict[Tuple[int, ...], object] = {}
+
+    def strongly_monotone(key: Tuple[int, ...]) -> object:
+        if key not in sm_by_lengths:
+            num, top = _kraft(key)
+            if num != 1 << top:
+                note("kraft", key)
+                sm_by_lengths[key] = incomplete
+            else:
+                witness = strong_monotonicity_check(source, key)
+                agree = witness == strong_monotonicity_scan(source, key)
+                sm_by_lengths[key] = (witness is None) if agree else None
+        return sm_by_lengths[key]
+
+    def shape_of(code: _Code) -> Shape:
+        return _shapes(source, code)[0]
+
     def labels(name: str) -> List[str]:
-        return [shape_label(shape_of(*fill)) for fill in bad[name]]
+        return [shape_label(shape_of(code)) for code in bad[name]]
 
     row_class_checked = len(source) <= 5
     # multiset of sibling weight pairs -> whether the backtracking search
     # lists it; the answer depends on the pairs and the root weight alone
     listable: Dict[Tuple[Tuple[int, int], ...], bool] = {}
-    sibling_fills: Set[_Fill] = set()
-    # length key -> (first fill of the class, whether `_optimum` lists it)
-    reps: Dict[Tuple[int, ...], Tuple[_Fill, bool]] = {}
-    classes: Dict[Tuple[int, ...], List[_Fill]] = {}  # only if row-checked
-    perms = _permutations(source)
+    sibling_codes: List[_Code] = []
+    # length key -> (first code of the class, whether `_optimum` lists it)
+    reps: Dict[Tuple[int, ...], Tuple[_Code, bool]] = {}
+    classes: Dict[Tuple[int, ...], List[_Code]] = {}  # only if row-checked
     checked = 0
 
-    for skeleton in _skeletons(len(source)):
-        depths = skeleton.depths
-        if not skeleton.complete:  # the checks below presuppose one
-            note("kraft", depths)  # its first fill's length vector
+    for code, key, total, pairs in _unordered(source):
+        monotone = strongly_monotone(key)
+        if monotone is incomplete:
             continue
-        opt_here = opt_at.get(depths, ())
-        for perm, key, total, pairs in _read(skeleton, perms):
-            in_opt = perm in opt_here
-            if not (total == best) == strongly_monotone(key) == (
-                    key in huffman_length_keys) == in_opt:
-                note("equivalence", (depths, perm))
-            greedy = _greedy_listing(pairs)  # sorts the pairs
-            multiset = tuple(pairs)
-            if multiset not in listable:
-                listable[multiset] = sibling_property_exhaustive(
-                    CodeTree(source, shape_of(depths, perm))) is not None
-            if greedy != listable[multiset]:
-                note("sibling", (depths, perm))
-            if greedy:
-                sibling_fills.add((depths, perm))
-            if key not in reps:
-                reps[key] = ((depths, perm), in_opt)
-            if row_class_checked:
-                classes.setdefault(key, []).append((depths, perm))
-        checked += len(perms)
+        in_opt = code in optimal
+        if not (total == best) == monotone == (
+                key in huffman_length_keys) == in_opt:
+            note("equivalence", code)
+        greedy = _greedy_listing(pairs)  # sorts the pairs
+        multiset = tuple(pairs)
+        if multiset not in listable:
+            listable[multiset] = sibling_property_exhaustive(
+                CodeTree(source, shape_of(code))) is not None
+        if greedy != listable[multiset]:
+            note("sibling", code)
+        if greedy:
+            sibling_codes.append(code)
+        if key not in reps:
+            reps[key] = (code, in_opt)
+        if row_class_checked:
+            classes.setdefault(key, []).append(code)
+        checked += 1
     for tree in huffman_trees:
         if not is_monotone(tree):
             note("monotone", tree.label)
@@ -372,8 +392,11 @@ def verify_theorems(source: Source) -> VerificationReport:
         "optimal-iff-strongly-monotone-iff-length-equivalent",
         not bad["equivalence"],
         "counterexamples: %s" % labels("equivalence") if bad["equivalence"]
-        else "%d trees checked" % checked))
-    same_set = _fill_shapes(source, sibling_fills) == huffman_shapes
+        else "%d trees checked" % (checked * flips)))
+    # the Huffman trees are whole flip classes: each canonical form
+    # stands for `flips` of them
+    same_set = ({shape_of(code) for code in sibling_codes} == huffman_forms
+                and len(huffman_trees) == flips * len(huffman_forms))
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
         not bad["sibling"] and same_set,
@@ -399,7 +422,7 @@ def verify_theorems(source: Source) -> VerificationReport:
         % (len(shapes), len(huffman_shapes))))
 
     # All optimal trees form one {same-row, same-probability} class.
-    opt_shapes = _fill_shapes(source, fills)
+    opt_shapes = _ordered(source, opt_codes)
     shapes, truncated = closure_shapes(
         huffman_trees[0], {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
@@ -411,21 +434,21 @@ def verify_theorems(source: Source) -> VerificationReport:
     # Every optimal tree's same-row class contains a Huffman tree.
     corollary_ok = True
     detail = ""
-    for key, (_, optimal) in reps.items():
-        if optimal and key not in huffman_length_keys:
+    for key, (_, optimal_class) in reps.items():
+        if optimal_class and key not in huffman_length_keys:
             corollary_ok = False
             detail = "optimal class %s has no Huffman member" % (key,)
             break
     if row_class_checked:
-        for key, (fill, optimal) in reps.items():
-            rep = CodeTree(source, shape_of(*fill))
+        for key, (code, optimal_class) in reps.items():
+            rep = CodeTree(source, shape_of(code))
             closure_row = set(closure_shapes(rep, {SwapKind.SAME_ROW})[0])
-            if closure_row != _fill_shapes(source, classes[key]):
+            if closure_row != _ordered(source, classes[key]):
                 corollary_ok = False
                 detail = "same-row closure of %s != its length class" % (
                     rep.label)
                 break
-            if optimal and closure_row.isdisjoint(huffman_shapes):
+            if optimal_class and closure_row.isdisjoint(huffman_shapes):
                 corollary_ok = False
                 detail = "optimal same-row class without a Huffman tree"
                 break

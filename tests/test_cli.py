@@ -97,6 +97,13 @@ class TestHuffmanCommand:
         assert out.startswith("digraph")
         assert '[label="0"]' in out and '[label="1"]' in out
 
+    def test_all_and_dot_is_input_error(self, capsys):
+        # --dot is not dropped in silence: no tree is listed
+        assert main(["huffman", fx("ex1.src"), "--all", "--dot"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "huffman --dot draws one tree, not --all" in err
+
     def test_missing_file(self, capsys):
         assert main(["huffman", "/nonexistent.src"]) == 2
 

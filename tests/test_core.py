@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from prefixcodes import (
     MonotonicityWitness,
     PrefixCode,
     Source,
+    SwapKind,
     code_from_lengths,
     code_from_tree,
     code_lengths,
@@ -16,9 +18,12 @@ from prefixcodes import (
     is_optimal,
     kraft_sum,
     strong_monotonicity_check,
+    enumerate_complete_trees,
     tree_from_code,
 )
+from prefixcodes.core import interned
 from prefixcodes.oracle import strong_monotonicity_scan
+from prefixcodes.swaps import closure_shapes
 from prefixcodes.errors import (
     AlphabetMismatch,
     DuplicateSymbol,
@@ -36,6 +41,7 @@ from conftest import (
     load_lengths,
     load_source,
     load_tree,
+    random_trees,
     reference_arena,
 )
 
@@ -144,6 +150,103 @@ class TestCodeTree:
         for build in (CodeTree, reference_arena):
             with pytest.raises(InvalidTree, match="^%s$" % message):
                 build(self.ABC, shape)
+
+
+def _unordered(shape):
+    """A shape with the two children of each node as an unordered pair."""
+    if isinstance(shape, tuple):
+        if None in shape:
+            return tuple(map(_unordered, shape))
+        return frozenset(map(_unordered, shape))
+    return shape
+
+
+def _least_index(source, shape):
+    if isinstance(shape, tuple):
+        return min(_least_index(source, child) for child in shape
+                   if child is not None)
+    return source.index(shape)
+
+
+def _is_canonical(source, shape):
+    """Each node with two children holds the least index on its left."""
+    if not isinstance(shape, tuple):
+        return True
+    left, right = shape
+    if None not in shape and (_least_index(source, left)
+                              > _least_index(source, right)):
+        return False
+    return all(_is_canonical(source, child) for child in shape
+               if child is not None)
+
+
+def _canonical(tree, table):
+    return interned(tree, table, canonical=True)
+
+
+class TestCanonicalOrientation:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_one_form_per_flip_class(self, n):
+        # every ordered tree: trees that differ only by sibling swaps (the
+        # same unordered tree) share one form, one object in the table,
+        # and trees that differ otherwise do not
+        src = Source.from_weights(("s%d" % i, 1) for i in range(n))
+        trees = list(enumerate_complete_trees(src).members)
+        table, forms = {}, {}  # unordered tree -> its form
+        for tree in trees:
+            form = _canonical(tree, table)
+            assert forms.setdefault(_unordered(tree.shape), form) is form
+            assert _unordered(form) == _unordered(tree.shape)
+            assert _is_canonical(src, form)
+        assert len(set(map(id, forms.values()))) == len(forms) == (
+            len(trees) >> (n - 1))
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (6, 2), (7, 3), (7, 4)])
+    def test_seeded_flip_class_has_one_form(self, n, seed):
+        # a random tree's flip class is its closure under sibling swaps
+        rng = random.Random(seed)
+        src = Source.from_weights(("s%d" % i, rng.randint(1, 4))
+                                  for i in range(n))
+        nodes = list(src.symbols)
+        while len(nodes) > 1:
+            left = nodes.pop(rng.randrange(len(nodes)))
+            nodes.append((left, nodes.pop(rng.randrange(len(nodes)))))
+        shapes, truncated = closure_shapes(CodeTree(src, nodes[0]),
+                                           {SwapKind.SAME_PARENT})
+        assert not truncated and len(shapes) == 1 << (n - 1)
+        table = {}
+        forms = {id(_canonical(CodeTree(src, shape), table))
+                 for shape in shapes}
+        assert len(forms) == 1
+        form = _canonical(CodeTree(src, shapes[-1]), table)
+        assert _is_canonical(src, form)
+
+    def test_idempotent(self):
+        for tree in random_trees():  # complete and incomplete
+            table = {}
+            form = _canonical(tree, table)
+            again = CodeTree(tree.source, form)
+            assert _canonical(again, table) is form
+            assert _canonical(again, {}) == form
+            assert _unordered(form) == _unordered(tree.shape)
+
+    def test_equal_forms_are_one_object(self, ex4):
+        tree = tree_from_code(ex4, load_code("ex4_h1.code"))
+        flipped = CodeTree(ex4, (tree.shape[1], tree.shape[0]))
+        table = {}
+        assert _canonical(tree, table) is _canonical(flipped, table)
+        apart = _canonical(flipped, {})
+        assert apart == _canonical(tree, table)
+        assert apart is not _canonical(tree, table)
+
+    @pytest.mark.parametrize("shape, form", [
+        ((("c", None), ("b", "a")), (("a", "b"), ("c", None))),
+        ((None, (("c", "b"), "a")), (None, ("a", ("b", "c")))),
+        ((((None, "c"), "b"), "a"), ("a", ("b", (None, "c")))),
+    ])
+    def test_a_node_with_one_child_keeps_its_side(self, shape, form):
+        src = Source.from_weights([("a", 1), ("b", 1), ("c", 1)])
+        assert _canonical(CodeTree(src, shape), {}) == form
 
 
 class TestTreeFromCode:

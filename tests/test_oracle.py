@@ -1,7 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from operator import itemgetter, mul
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -22,7 +26,7 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
-from prefixcodes.core import code_from_tree, kraft_sum
+from prefixcodes.core import code_from_tree, interned, kraft_sum
 from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import catalan, strong_monotonicity_scan
@@ -100,7 +104,10 @@ class TestEnumeration:
             assert tree.is_complete
 
     def test_guard(self):
-        n = 8
+        eight = Source.from_weights(("s%d" % i, 1) for i in range(8))
+        assert enumerate_complete_trees(eight).count == (
+            factorial(8) * catalan(7))
+        n = 9
         src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
         with pytest.raises(AlphabetTooLarge):
             enumerate_complete_trees(src)
@@ -174,7 +181,7 @@ class TestVerifyTheorems:
         assert report.all_passed
 
     def test_guard(self):
-        n = 8
+        n = 9
         src = Source([("s%d" % i, Fraction(1, n)) for i in range(n)])
         with pytest.raises(AlphabetTooLarge):
             verify_theorems(src)
@@ -266,10 +273,16 @@ class TestVerifyDetectsCorruptedInputs:
         checks = {c.name: c for c in verify_theorems(ex3).checks}
         assert {n for n, c in checks.items() if not c.passed} == {
             "sibling-property-iff-huffman"}
-        first_label = next(enumerate_complete_trees(ex3).members).label
+        # the search ran first on the first tree read, which is named in
+        # its canonical orientation
+        first_tree = calls[0]
+        assert first_tree.shape == oracle._shapes(
+            ex3, next(oracle._codes(len(ex3))))[0]
+        assert interned(first_tree, {}, canonical=True) == first_tree.shape
         detail = checks["sibling-property-iff-huffman"].detail
         assert detail.startswith("greedy/backtracking disagreements: [%s"
-                                 % (repr(first_label) if disagree else "]"))
+                                 % (repr(first_tree.label) if disagree
+                                    else "]"))
         assert detail.endswith("; listing-set == merge-enumeration: %s"
                                % same_set)
 
@@ -290,6 +303,19 @@ class TestVerifyDetectsCorruptedInputs:
 
         monkeypatch.setattr(oracle, "closure_shapes", dropping)
         assert _failing(ex3) == {check}
+
+    def test_huffman_set_misses_one_orientation(self, ex3, monkeypatch):
+        # the canonical forms stay the same, so only the count of trees
+        # per form shows the gap; the closure finds the dropped tree
+        real = oracle.huffman_enumerate
+        monkeypatch.setattr(oracle, "huffman_enumerate",
+                            lambda source: real(source)[:-1])
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "sibling-property-iff-huffman", "huffman-swap-equivalence"}
+        assert checks["sibling-property-iff-huffman"].detail == (
+            "greedy/backtracking disagreements: []; "
+            "listing-set == merge-enumeration: False")
 
     def test_huffman_tree_not_monotone(self, ex3, monkeypatch):
         monkeypatch.setattr(oracle, "is_monotone", lambda tree: False)
@@ -330,24 +356,26 @@ class TestVerifyDetectsCorruptedInputs:
             "optimal-iff-strongly-monotone-iff-length-equivalent"}
 
     def test_enumeration_yields_an_incomplete_tree(self, ex3, monkeypatch):
-        # the templates `verify` reads gain an incomplete one, first: the
-        # first template with its first leaf one row deeper
-        first, *rest = oracle._templates(4)[0]
-        incomplete = (first + 1, *rest)
-        assert incomplete == (2, 2, 3, 3)
-        assert kraft_sum(incomplete) == Fraction(3, 4)
-        real = oracle._skeletons
-        monkeypatch.setattr(
-            oracle, "_skeletons",
-            lambda n: (oracle._skeleton(incomplete),) + real(n))
+        # the trees `verify` reads gain an incomplete one, first: the
+        # first tree read with its first leaf one row deeper
+        real = oracle._unordered
+        code, key, total, pairs = next(real(ex3))
+        incomplete = (key[0] + 1, *key[1:])
+        assert incomplete == (4, 1, 2, 3)
+        assert kraft_sum(incomplete) == Fraction(15, 16)
+
+        def read(source):
+            yield code, incomplete, total + source.weights[0], pairs
+            yield from real(source)
+
+        monkeypatch.setattr(oracle, "_unordered", read)
         checks = {c.name: c for c in verify_theorems(ex3).checks}
         assert {n for n, c in checks.items() if not c.passed} == {
             "complete-kraft-sum-one"}
-        # an incomplete tuple fixes no tree: its first fill, which puts the
-        # symbols in source order, is reported as its length vector
+        # an incomplete length vector fixes no tree: it is reported as is
         assert checks["complete-kraft-sum-one"].detail == (
-            "counterexamples: [(2, 2, 3, 3)]")
-        # the trees read and checked are the complete templates' fills
+            "counterexamples: [(4, 1, 2, 3)]")
+        # the trees read and checked are the complete ones
         assert checks[
             "optimal-iff-strongly-monotone-iff-length-equivalent"].detail == (
             "%d trees checked" % (factorial(4) * catalan(3)))
@@ -361,18 +389,75 @@ def _seeded_sources():
             for n in (2, 3, 4, 5, 5, 6)]
 
 
-@pytest.mark.parametrize("src", [src for _, src in builtin_corpus()]
-                         + _seeded_sources(),
-                         ids=[name for name, _ in builtin_corpus()]
-                         + ["seeded%d" % k for k in range(6)])
+class _Skeleton(NamedTuple):
+    """An ordered template as the reference reader reads it: its leaf
+    depths left to right, its internal nodes in post-order as (left,
+    right) references into a fill's node weights (slot i is i, the k-th
+    internal node is n + k), and whether its Kraft sum is 1."""
+    depths: Tuple[int, ...]
+    nodes: Tuple[Tuple[int, int], ...]
+    complete: bool
+
+
+def _skeleton(depths):
+    n, nodes = len(depths), []
+
+    def join(left, right):
+        nodes.append((left, right))
+        return n + len(nodes) - 1
+
+    oracle._fill(depths, range(n), join)
+    top = max(depths)
+    return _Skeleton(depths, tuple(nodes),
+                     sum(1 << (top - d) for d in depths) == 1 << top)
+
+
+@lru_cache(maxsize=None)
+def _skeletons(n):
+    """The skeleton of every ordered template with n leaves, in order."""
+    return tuple(map(_skeleton, oracle._templates(n)))
+
+
+def _permutations(source):
+    """Per permutation of symbol ids into slots: the ids, a getter that
+    reads a template's leaf depths in source order, the slots' weights."""
+    weights = source.weights
+    return [(perm, itemgetter(*sorted(range(len(perm)),
+                                      key=perm.__getitem__)),
+             tuple(weights[s] for s in perm))
+            for perm in permutations(range(len(source)))]
+
+
+def _ordered_read(skeleton, perms):
+    """The reference reader of ordered trees, one pass per fill of a
+    skeleton: the symbol ids, the length vector, the weighted depth sum
+    and the (hi, lo) weights of each internal node's two children."""
+    depths, nodes = skeleton.depths, skeleton.nodes
+    for perm, lengths_of, slot_weights in perms:
+        weights = list(slot_weights)
+        pairs = []
+        for left, right in nodes:
+            a, b = weights[left], weights[right]
+            weights.append(a + b)
+            pairs.append((a, b) if a >= b else (b, a))
+        yield (perm, lengths_of(depths), sum(map(mul, slot_weights, depths)),
+               pairs)
+
+
+_READ_SOURCES = [src for _, src in builtin_corpus()] + _seeded_sources()
+_READ_IDS = ([name for name, _ in builtin_corpus()]
+             + ["seeded%d" % k for k in range(6)])
+
+
+@pytest.mark.parametrize("src", _READ_SOURCES, ids=_READ_IDS)
 def test_skeleton_read_agrees_with_the_enumeration(src):
-    # tree by tree, in one order: what `verify` reads off each template's
-    # skeleton equals what the enumerated `CodeTree` gives
+    # tree by tree, in one order: what the reference reader reads off
+    # each template's skeleton equals what the enumerated `CodeTree` gives
     symbols, den = src.symbols, src.den
     trees = enumerate_complete_trees(src).members
-    perms = oracle._permutations(src)
-    for skeleton in oracle._skeletons(len(src)):
-        for perm, key, total, pairs in oracle._read(skeleton, perms):
+    perms = _permutations(src)
+    for skeleton in _skeletons(len(src)):
+        for perm, key, total, pairs in _ordered_read(skeleton, perms):
             tree = next(trees)
             assert key == tuple(map(tree.depth_of, symbols))
             assert total == tree.expected_length() * den
@@ -383,6 +468,41 @@ def test_skeleton_read_agrees_with_the_enumeration(src):
             assert oracle._fill(skeleton.depths,
                                 tuple(symbols[s] for s in perm)) == tree.shape
     assert next(trees, None) is None
+
+
+@pytest.mark.parametrize(
+    "src", _READ_SOURCES + [Source.from_weights(
+        zip("abcdefg", (5, 4, 3, 3, 2, 2, 1)))],
+    ids=_READ_IDS + ["tied7"])
+def test_unordered_read_agrees_with_the_ordered_reader(src):
+    # per length vector, weighted depth sum and sorted multiset of sibling
+    # weight pairs, `verify`'s read of unordered trees counts each tree
+    # once for its 2^(n-1) orientations, and the reference reads them all
+    ordered, unordered = Counter(), Counter()
+    perms = _permutations(src)
+    for skeleton in _skeletons(len(src)):
+        for _, key, total, pairs in _ordered_read(skeleton, perms):
+            ordered[key, total, tuple(sorted(pairs))] += 1
+    for _, key, total, pairs in oracle._unordered(src):
+        unordered[key, total, tuple(sorted(pairs))] += 1 << (len(src) - 1)
+    assert unordered == ordered
+    assert sum(ordered.values()) == factorial(len(src)) * catalan(
+        len(src) - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_codes_are_the_canonical_forms_of_every_tree(n):
+    # `_codes` reads each flip class once, by its canonical form, and the
+    # orientations of the forms are every enumerated tree
+    src = Source.from_weights(("s%d" % i, i + 1) for i in range(n))
+    codes = list(oracle._codes(n))
+    shapes = [t.shape for t in enumerate_complete_trees(src).members]
+    table = {}
+    forms = {interned(CodeTree(src, shape), table, canonical=True)
+             for shape in shapes}
+    assert len(codes) == len(forms) == len(shapes) >> (n - 1)
+    assert {oracle._shapes(src, code)[0] for code in codes} == forms
+    assert oracle._ordered(src, codes) == set(shapes)
 
 
 class TestBuiltinCorpus:
