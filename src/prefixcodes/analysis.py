@@ -7,7 +7,6 @@ read the tree's own source."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -69,46 +68,27 @@ def is_monotone(tree: CodeTree) -> bool:
     return True
 
 
-def _rows(lengths: Sequence[int], weights: Sequence[int]) -> List[List[int]]:
-    """rows[d]: the sorted weights of the symbols at depth d, for every
-    depth down to the deepest."""
-    rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
-    for ln, w in zip(lengths, weights):
-        rows[ln].append(w)
-    for row in rows:
-        row.sort()
-    return rows
+def _least_keys(lengths: Sequence[int], weights: Sequence[int]
+                ) -> Dict[int, int]:
+    """k -> the least sum, over the subsets with Kraft sum 2^-k, of the
+    keys w_i*2^(n+1) - 2^(n-i).  One package-merge pass (Larmore and
+    Hirschberg 1990) serves every k: from the deepest row up, row k's
+    cheapest entry is the answer at k, and the entries pair off,
+    cheapest first, into packages for the row above, the same for all k.
 
-
-def _least(rows: List[List[int]], target: int) -> Optional[int]:
-    """Least total weight of a subset with Kraft sum target / 2^depth,
-    where depth = len(rows) - 1 and target <= 2^depth; None if no subset
-    has that Kraft sum.
-
-    Package-merge (Larmore and Hirschberg 1990): from the deepest row up,
-    a row whose bit is set in the target gives up its cheapest entry, and
-    the rest pair off, cheapest first, into packages for the row above.
+    A subset's key sum is W*2^(n+1) - b, with W its weight and b > 0 its
+    bonuses 2^(n-i); all n bonuses sum to less than 2^(n+1).  So the
+    least key sum has the least W (the sum rounded up to a multiple of
+    2^(n+1)) and among those the greatest b, which is the first sorted
+    index tuple: at the least index in S but not in T, S gains a bonus
+    larger than all later ones together, and T holds a larger index
+    there, for two subsets with one Kraft sum are never prefix and
+    extension (a proper superset has a larger Kraft sum).
     """
-    depth = len(rows) - 1
-    total, carry = 0, []
-    for d in range(depth, -1, -1):
-        bits = target >> (depth - d)  # the target's bits on rows d..0
-        if not bits:
-            break
-        row = sorted(rows[d] + carry)
-        if bits & 1:
-            if not row:
-                return None
-            total += row.pop(0)
-        carry = [a + b for a, b in zip(row[::2], row[1::2])]
-    return total
-
-
-def _row_extremes(rows: List[List[int]]) -> Dict[int, int]:
-    """k -> the least total weight of a subset with Kraft sum 2^-k, for
-    every k that some subset reaches.  One package-merge pass serves all
-    k: the target 2^-k has no bit on the rows below k, so the packages
-    that reach row k are the same for every k."""
+    n = len(weights)
+    rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
+    for i, (ln, w) in enumerate(zip(lengths, weights)):
+        rows[ln].append((w << n + 1) - (1 << n - i))
     least, carry = {}, []
     for d in range(len(rows) - 1, -1, -1):
         row = sorted(rows[d] + carry)
@@ -118,73 +98,49 @@ def _row_extremes(rows: List[List[int]]) -> Dict[int, int]:
     return least
 
 
-def _first_subset(lengths: Sequence[int], weights: Sequence[int], k: int,
-                  best: int) -> Tuple[int, ...]:
-    """The lexicographically first sorted index tuple among the subsets
-    with Kraft sum 2^-k and total weight `best`, the least such weight.
-
-    Walks the indices in order and takes each time the smallest next
-    index that still has a completion of weight `best`, tested by one
-    `_least` query on the indices after it.  The walk stops once the
-    chosen prefix reaches the Kraft sum (and so weight `best`): every
-    extension has a larger Kraft sum, and a prefix precedes its
-    extensions.
-    """
-    depth = max(lengths)
-    rows = _rows(lengths, weights)  # the indices not yet passed
-    chosen: List[int] = []
-    kraft_left, weight_left = 1 << (depth - k), best
-    c = 0
-    while kraft_left:
-        for c in range(c, len(lengths)):
-            row = rows[lengths[c]]
-            del row[bisect_left(row, weights[c])]
-            kraft_c = 1 << (depth - lengths[c])
-            if kraft_c > kraft_left:
-                continue
-            rest = _least(rows, kraft_left - kraft_c)
-            if rest is not None and rest + weights[c] == weight_left:
-                break
-        else:
-            raise ConsistencyError(
-                "no subset reaches the package-merge extreme %d at "
-                "exponent %d" % (best, k))
-        chosen.append(c)
-        kraft_left -= kraft_c
-        weight_left -= weights[c]
-        c += 1
-    return tuple(chosen)
+def _subset(lengths: Sequence[int], weights: Sequence[int], k: int,
+            key: int) -> Tuple[int, ...]:
+    """The index tuple of the least key sum at exponent k: i is in it iff
+    bonus bit 2^(n-i) is set.  Checks its Kraft sum and weight."""
+    n, depth = len(weights), max(lengths)
+    weight = -(-key >> n + 1)
+    bonus = format((weight << n + 1) - key, "0%db" % (n + 1))
+    chosen = tuple(i for i, bit in enumerate(bonus) if bit == "1")
+    if (sum(1 << depth - lengths[i] for i in chosen) != 1 << depth - k
+            or sum(weights[i] for i in chosen) != weight):
+        raise ConsistencyError("key %d misdecodes at exponent %d" % (key, k))
+    return chosen
 
 
 def strong_monotonicity_check(source: Source, lengths: Sequence[int]
                               ) -> Optional[MonotonicityWitness]:
-    """Find a strong-monotonicity violation in polynomial time.
+    """Find a strong-monotonicity violation in polynomial time, or None.
 
     The code is strongly monotone iff, for all exponents i < j that
     Kraft sums of symbol subsets reach, the least P(A) with K(A) = 2^-i
-    is at least the greatest P(B) with K(B) = 2^-j.  Kraft terms are
-    powers of two, so each extreme is a Coin Collector's problem, and
-    one package-merge pass per sign finds them for every exponent.  At
-    the first violating (i, j), in increasing i then j, the witness sets
-    are the lexicographically first sorted index tuples that reach the
-    two extremes.  Returns None if the lengths are strongly monotone.
-    `oracle.strong_monotonicity_scan` is the 2^n subset scan that this
-    answer, witness included, must match.
+    is at least the greatest P(B) with K(B) = 2^-j.  One keyed
+    package-merge pass per sign gives both extremes at every exponent.
+    At the first violating (i, j), in increasing i then j, the witness
+    sets are the first sorted index tuples that reach them, as in
+    `oracle.strong_monotonicity_scan`, the 2^n subset scan this answer
+    must match.
     """
     symbols = source.symbols
     lengths = _checked_lengths(source, lengths)
     weights = source.weights  # probabilities as integers over den
-    rows = _rows(lengths, weights)
-    lo = _row_extremes(rows)
+    shift = len(weights) + 1
+    lo_keys = _least_keys(lengths, weights)
     # the greatest weights, as the least of the negated ones
-    neg_hi = _row_extremes([[-w for w in reversed(row)] for row in rows])
+    negated = [-w for w in weights]
+    hi_keys = _least_keys(lengths, negated)
+    lo = {k: -(-key >> shift) for k, key in lo_keys.items()}
+    hi = {k: -key >> shift for k, key in hi_keys.items()}
     exponents = sorted(lo)
     for a, i in enumerate(exponents):
-        j = next((j for j in exponents[a + 1:] if -neg_hi[j] > lo[i]),
-                 None)
+        j = next((j for j in exponents[a + 1:] if hi[j] > lo[i]), None)
         if j is not None:
-            A = _first_subset(lengths, weights, i, lo[i])
-            B = _first_subset(lengths, [-w for w in weights], j, neg_hi[j])
+            A = _subset(lengths, weights, i, lo_keys[i])
+            B = _subset(lengths, negated, j, hi_keys[j])
             return MonotonicityWitness(A=tuple(symbols[t] for t in A),
                                        B=tuple(symbols[t] for t in B),
                                        i=i, j=j)

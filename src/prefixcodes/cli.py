@@ -160,6 +160,10 @@ def _parse_kinds(text: str) -> set:
 def cmd_huffman(args) -> int:
     if args.all and args.dot:
         raise ParseError("huffman --dot draws one tree, not --all")
+    if args.all and args.policy:
+        raise ParseError("huffman --all covers every --policy")
+    if args.dot and args.json:
+        raise ParseError("huffman --dot prints DOT, not --json")
     source = _load_source(args.source)
     if args.all:
         trees = huffman_enumerate(source, cap=args.cap)
@@ -174,7 +178,7 @@ def cmd_huffman(args) -> int:
             for tree in trees:
                 print(tree.label)
         return EXIT_OK
-    tree = huffman_build(source, _policy(args.policy))
+    tree = huffman_build(source, _policy(args.policy or "first-left"))
     code = code_from_tree(tree)
     if args.dot:
         print(tree_to_dot(tree))
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("--all", action="store_true",
                    help="enumerate every tie-break outcome")
-    p.add_argument("--policy", default="first-left",
+    p.add_argument("--policy", help="default first-left",
                    choices=["first-left", "first-right",
                             "last-left", "last-right"])
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")

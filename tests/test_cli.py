@@ -104,6 +104,21 @@ class TestHuffmanCommand:
         assert out == ""
         assert "huffman --dot draws one tree, not --all" in err
 
+    def test_dot_and_json_is_input_error(self, capsys):
+        # --json is not dropped in silence: no DOT is printed
+        assert main(["huffman", fx("ex1.src"), "--dot", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "huffman --dot prints DOT, not --json" in err
+
+    def test_all_and_policy_is_input_error(self, capsys):
+        # --all lists the trees of every policy; --policy is not dropped
+        assert main(["huffman", fx("ex1.src"), "--all",
+                     "--policy", "last-right"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "huffman --all covers every --policy" in err
+
     def test_missing_file(self, capsys):
         assert main(["huffman", "/nonexistent.src"]) == 2
 

@@ -2,14 +2,18 @@
 
 `analysis.strong_monotonicity_check` must give the scan's answer,
 witness included (the lexicographically first index tuples at the first
-violating exponent pair), on every code the scan can run; past the
-scan's 20 symbols it is checked through `check` on the command line.
+violating exponent pair), on every code the scan can run.  Past the
+scan's 20 symbols it must give the answer of `walk_check`, which finds
+each witness set index by index with one package-merge query per
+candidate, and it is checked through `check` on the command line.
 """
 
 import json
 import random
+from bisect import bisect_left
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 
 from prefixcodes import (
@@ -22,11 +26,110 @@ from prefixcodes import (
     improve_from_witness,
     strong_monotonicity_check,
 )
-from prefixcodes.analysis import MonotonicityWitness, _least
+from prefixcodes.analysis import MonotonicityWitness, _least_keys, _subset
 from prefixcodes.cli import main, parse_code_text
+from prefixcodes.core import _checked_lengths
+from prefixcodes.errors import ConsistencyError
 from prefixcodes.oracle import strong_monotonicity_scan
 from conftest import tree_lengths
 from test_properties import any_trees
+
+
+def _rows(lengths, weights):
+    """rows[d]: the sorted weights of the symbols at depth d, for every
+    depth down to the deepest."""
+    rows = [[] for _ in range(max(lengths) + 1)]
+    for ln, w in zip(lengths, weights):
+        rows[ln].append(w)
+    for row in rows:
+        row.sort()
+    return rows
+
+
+def _least(rows, target):
+    """Least total weight of a subset with Kraft sum target / 2^depth,
+    where depth = len(rows) - 1 and target <= 2^depth; None if no subset
+    has that Kraft sum.
+
+    Package-merge (Larmore and Hirschberg 1990): from the deepest row up,
+    a row whose bit is set in the target gives up its cheapest entry, and
+    the rest pair off, cheapest first, into packages for the row above.
+    """
+    depth = len(rows) - 1
+    total, carry = 0, []
+    for d in range(depth, -1, -1):
+        bits = target >> (depth - d)  # the target's bits on rows d..0
+        if not bits:
+            break
+        row = sorted(rows[d] + carry)
+        if bits & 1:
+            if not row:
+                return None
+            total += row.pop(0)
+        carry = [a + b for a, b in zip(row[::2], row[1::2])]
+    return total
+
+
+def _first_subset(lengths, weights, k, best):
+    """The lexicographically first sorted index tuple among the subsets
+    with Kraft sum 2^-k and total weight `best`, the least such weight.
+
+    Walks the indices in order and takes each time the smallest next
+    index that still has a completion of weight `best`, tested by one
+    `_least` query on the indices after it.  The walk stops once the
+    chosen prefix reaches the Kraft sum (and so weight `best`): every
+    extension has a larger Kraft sum, and a prefix precedes its
+    extensions.
+    """
+    depth = max(lengths)
+    rows = _rows(lengths, weights)  # the indices not yet passed
+    chosen = []
+    kraft_left, weight_left = 1 << (depth - k), best
+    c = 0
+    while kraft_left:
+        for c in range(c, len(lengths)):
+            row = rows[lengths[c]]
+            del row[bisect_left(row, weights[c])]
+            kraft_c = 1 << (depth - lengths[c])
+            if kraft_c > kraft_left:
+                continue
+            rest = _least(rows, kraft_left - kraft_c)
+            if rest is not None and rest + weights[c] == weight_left:
+                break
+        else:
+            raise ConsistencyError("no subset reaches %d at exponent %d"
+                                   % (best, k))
+        chosen.append(c)
+        kraft_left -= kraft_c
+        weight_left -= weights[c]
+        c += 1
+    return tuple(chosen)
+
+
+def walk_check(source, lengths):
+    """`strong_monotonicity_check` by one `_least` query per exponent
+    for the extremes and the `_first_subset` walk for the witness sets:
+    quadratic, but with no limit on the alphabet."""
+    lengths = _checked_lengths(source, lengths)
+    weights = source.weights
+    negated = [-w for w in weights]
+    depth = max(lengths)
+    lo, hi = {}, {}
+    for k in range(depth + 1):
+        least = _least(_rows(lengths, weights), 1 << (depth - k))
+        if least is not None:
+            lo[k] = least
+            hi[k] = -_least(_rows(lengths, negated), 1 << (depth - k))
+    exponents = sorted(lo)
+    for a, i in enumerate(exponents):
+        j = next((j for j in exponents[a + 1:] if hi[j] > lo[i]), None)
+        if j is not None:
+            A = _first_subset(lengths, weights, i, lo[i])
+            B = _first_subset(lengths, negated, j, -hi[j])
+            return MonotonicityWitness(
+                A=tuple(source.symbols[t] for t in A),
+                B=tuple(source.symbols[t] for t in B), i=i, j=j)
+    return None
 
 
 def random_words(rng, n):
@@ -48,12 +151,12 @@ def random_words(rng, n):
     return [words[i] for i in range(n)]
 
 
-def seeded_cases(seed, count, max_n=14):
+def seeded_cases(seed, count, max_n=14, min_n=2):
     """(source, code, complete) with tie-heavy weights 1-4; half of the
     codes are made incomplete by lengthening some codewords."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(2, max_n)
+        n = rng.randint(min_n, max_n)
         weights = [rng.randint(1, 4) for _ in range(n)]
         words = random_words(rng, n)
         complete = rng.random() < 0.5
@@ -80,6 +183,60 @@ def test_least_matches_brute_force():
                 for subset in combinations(items, r)
                 if sum(1 << (depth - d) for d, _ in subset) == target]
         assert _least(rows, target) == (min(sums) if sums else None)
+
+
+def test_least_keys_match_brute_force():
+    # both signs and ties: the least weight at each exponent k, and the
+    # first sorted index tuple that reaches it
+    rng = random.Random(5)
+    for _ in range(300):
+        depth = rng.randint(1, 4)
+        n = rng.randint(1, 7)
+        lengths = [rng.randint(1, depth) for _ in range(n)]
+        weights = [rng.randint(-5, 9) for _ in range(n)]
+        best = {}
+        for r in range(1, n + 1):
+            for subset in combinations(range(n), r):  # sorted tuples
+                kraft = sum(1 << (depth - lengths[i]) for i in subset)
+                if kraft & (kraft - 1) == 0 and kraft <= 1 << depth:
+                    k = depth - kraft.bit_length() + 1
+                    weight = sum(weights[i] for i in subset)
+                    if k not in best or (weight, subset) < best[k]:
+                        best[k] = (weight, subset)
+        found = {k: _subset(lengths, weights, k, key)
+                 for k, key in _least_keys(lengths, weights).items()}
+        assert found == {k: subset for k, (_, subset) in best.items()}
+        assert all(sum(weights[i] for i in subset) == best[k][0]
+                   for k, subset in found.items())
+
+
+def test_subset_checks_its_decoding():
+    lengths, weights = (1, 1, 2), (3, 1, 2)
+    key = _least_keys(lengths, weights)[1]
+    assert _subset(lengths, weights, 1, key) == (1,)
+    with pytest.raises(ConsistencyError):
+        _subset(lengths, weights, 0, key)  # K = 1/2, not 1
+    with pytest.raises(ConsistencyError):
+        _subset(lengths, weights, 1, key - 4 * 16)  # weight 4 too small
+
+
+def test_agrees_with_walk_past_the_scan():
+    found = set()
+    for source, code, complete in seeded_cases(seed=13, count=24,
+                                               min_n=21, max_n=300):
+        lengths = code_lengths(source, code)
+        witness = strong_monotonicity_check(source, lengths)
+        assert witness == walk_check(source, lengths), (
+            source.weights, code.words)
+        found.add((complete, witness is not None))
+    rng = random.Random(17)
+    for n in (21, 64, 300):
+        source = Source.from_weights(
+            ("s%d" % i, rng.randint(1, 9)) for i in range(n))
+        lengths = tree_lengths(huffman_build(source))
+        assert strong_monotonicity_check(source, lengths) is None
+        assert walk_check(source, lengths) is None
+    assert {(True, True), (False, True)} <= found
 
 
 def test_agrees_with_scan_on_seeded_codes():
