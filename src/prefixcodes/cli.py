@@ -162,11 +162,14 @@ def cmd_huffman(args) -> int:
         raise ParseError("huffman --dot draws one tree, not --all")
     if args.all and args.policy:
         raise ParseError("huffman --all covers every --policy")
+    if args.cap and not args.all:
+        raise ParseError("huffman --cap bounds --all, not one tree")
     if args.dot and args.json:
         raise ParseError("huffman --dot prints DOT, not --json")
     source = _load_source(args.source)
     if args.all:
-        trees = huffman_enumerate(source, cap=args.cap)
+        trees = huffman_enumerate(source,
+                                  cap=args.cap or DEFAULT_ENUMERATE_CAP)
         if args.json:
             print(json.dumps({
                 "count": len(trees),
@@ -300,15 +303,12 @@ def cmd_verify(args) -> int:
     else:
         sources = [(args.source, _load_source(args.source))]
     max_n = min(args.max_n, ENUMERATION_MAX_SYMBOLS)
-    all_ok = True
-    results = []
-    for name, source in sources:
+    for name, source in sources:  # every limit before any work
         if len(source) > max_n:
             raise AlphabetTooLarge(
                 "%s has %d symbols, limit %d" % (name, len(source), max_n))
-        report = verify_theorems(source)
-        results.append((name, report))
-        all_ok = all_ok and report.all_passed
+    results = [(name, verify_theorems(source)) for name, source in sources]
+    all_ok = all(report.all_passed for _, report in results)
     if args.json:
         print(json.dumps([{
             "source": name,
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "last-left", "last-right"])
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=positive_int, default=DEFAULT_ENUMERATE_CAP)
+    p.add_argument("--cap", type=positive_int,
+                   help="bound on --all, default %d" % DEFAULT_ENUMERATE_CAP)
     p.set_defaults(func=cmd_huffman)
 
     p = sub.add_parser("check", help="property report for a code")

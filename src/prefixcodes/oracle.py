@@ -5,12 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
-from itertools import permutations
+from math import prod
 from operator import mul
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .analysis import (
     MonotonicityWitness,
@@ -31,36 +29,6 @@ from .swaps import SwapKind, closure_shapes
 ENUMERATION_MAX_SYMBOLS = 8  # also `verify_theorems`, which enumerates
 SUBSET_SCAN_MAX_SYMBOLS = 20
 
-_Depths = Tuple[int, ...]  # a tree's leaf depths, left to right
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
-
-@lru_cache(maxsize=None)
-def _templates(n: int) -> Tuple[_Depths, ...]:
-    """Every ordered complete binary tree with n leaves, as its leaf depths
-    left to right: by left-subtree size, then left subtree, then right."""
-    if n == 1:
-        return ((0,),)
-    return tuple(tuple(d + 1 for d in left + right)
-                 for k in range(1, n)
-                 for left in _templates(k) for right in _templates(n - k))
-
-
-def _fill(depths: _Depths, leaves: Iterable,
-          join: Callable = lambda left, right: (left, right)):
-    """The complete tree with `leaves` at `depths`, left to right: each
-    subtree joins the one before it while the two are at one depth.  The
-    default `join` builds a shape; joins happen in post-order."""
-    stack: List[tuple] = []
-    for node, depth in zip(leaves, depths):
-        while stack and stack[-1][1] == depth:
-            node, depth = join(stack.pop()[0], node), depth - 1
-        stack.append((node, depth))
-    return stack[0][0]
-
 
 def _guard(source: Source, limit: int) -> None:
     if len(source) > limit:
@@ -74,20 +42,6 @@ class TreeEnumeration:
     source: Source
     members: Iterator[CodeTree]
     count: int
-
-
-def enumerate_complete_trees(source: Source) -> TreeEnumeration:
-    """Stream every complete, leaf-labeled, orientation-distinct tree."""
-    _guard(source, ENUMERATION_MAX_SYMBOLS)
-    n = len(source)
-
-    def gen() -> Iterator[CodeTree]:
-        for depths in _templates(n):
-            for perm in permutations(source.symbols):
-                yield CodeTree(source, _fill(depths, perm))
-
-    return TreeEnumeration(source=source, members=gen(),
-                           count=factorial(n) * catalan(n - 1))
 
 
 _JOIN = -1  # an internal node in a post-order code
@@ -165,6 +119,18 @@ def _shapes(source: Source, code: _Code, flips: bool = False
         else:
             stack.append([symbols[t]])
     return stack[0]
+
+
+def enumerate_complete_trees(source: Source) -> TreeEnumeration:
+    """Stream every complete, leaf-labeled, orientation-distinct tree: each
+    unordered tree (`_codes`) in each of its 2^(n-1) orientations, so
+    n! * Catalan(n-1) = 2^(n-1) * (2n - 3)!! trees in all."""
+    _guard(source, ENUMERATION_MAX_SYMBOLS)
+    n = len(source)
+    members = (CodeTree(source, shape) for code in _codes(n)
+               for shape in _shapes(source, code, True))
+    return TreeEnumeration(source=source, members=members,
+                           count=(1 << (n - 1)) * prod(range(1, 2 * n - 2, 2)))
 
 
 def _ordered(source: Source, codes: Iterable[_Code]) -> Set[Shape]:

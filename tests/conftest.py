@@ -3,6 +3,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -152,6 +153,11 @@ def fold_decoder_step(tree, state, bits):
     for ch in bits:
         state = decoder_step(tree, state, int(ch))
     return state
+
+
+def catalan(n: int) -> int:
+    """The number of ordered complete binary trees with n + 1 leaves."""
+    return comb(2 * n, n) // (n + 1)
 
 
 def caterpillar(n: int):

@@ -37,8 +37,8 @@ from prefixcodes import (
     tree_from_code,
     verify_theorems,
 )
-from prefixcodes.oracle import catalan
-from conftest import load_lengths, load_tree, tree_for_label, tree_lengths
+from conftest import (catalan, load_lengths, load_tree, tree_for_label,
+                      tree_lengths)
 
 PARENT_PROB = {SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY}
 ROW_PROB = {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY}

@@ -119,6 +119,13 @@ class TestHuffmanCommand:
         assert out == ""
         assert "huffman --all covers every --policy" in err
 
+    def test_cap_without_all_is_input_error(self, capsys):
+        # --cap bounds the --all listing; one tree is not silently built
+        assert main(["huffman", fx("ex1.src"), "--cap", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "huffman --cap bounds --all, not one tree" in err
+
     def test_missing_file(self, capsys):
         assert main(["huffman", "/nonexistent.src"]) == 2
 
@@ -315,10 +322,15 @@ class TestVerifyCommand:
         assert ("argument --max-n: must be at least 1, got %s" % max_n
                 in capsys.readouterr().err)
 
-    def test_corpus_stops_at_max_n(self, capsys):
-        # coin and the three 4-symbol sources run; ninths5 trips the guard
+    def test_corpus_stops_at_max_n(self, monkeypatch, capsys):
+        # ninths5 trips the guard before any source is verified
+        verified = []
+        monkeypatch.setattr("prefixcodes.cli.verify_theorems",
+                            verified.append)
         assert main(["verify", "--corpus", "--max-n", "4"]) == 3
-        assert "ninths5 has 5 symbols, limit 4" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "ninths5 has 5 symbols, limit 4" in err
+        assert out == "" and verified == []
 
 
 class TestExitCodes:

@@ -29,9 +29,33 @@ from prefixcodes import oracle
 from prefixcodes.core import code_from_tree, interned, kraft_sum
 from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
-from prefixcodes.oracle import catalan, strong_monotonicity_scan
+from prefixcodes.oracle import strong_monotonicity_scan
 from prefixcodes.swaps import closure_shapes
-from conftest import load_lengths, load_tree, tree_for_label
+from conftest import catalan, load_lengths, load_tree, tree_for_label
+
+
+@lru_cache(maxsize=None)
+def _templates(n):
+    """The reference enumeration: every ordered complete binary tree with n
+    leaves, as its leaf depths left to right, by left-subtree size, then
+    left subtree, then right."""
+    if n == 1:
+        return ((0,),)
+    return tuple(tuple(d + 1 for d in left + right)
+                 for k in range(1, n)
+                 for left in _templates(k) for right in _templates(n - k))
+
+
+def _fill(depths, leaves, join=lambda left, right: (left, right)):
+    """The complete tree with `leaves` at `depths`, left to right: each
+    subtree joins the one before it while the two are at one depth.  The
+    default `join` builds a shape; joins happen in post-order."""
+    stack = []
+    for node, depth in zip(leaves, depths):
+        while stack and stack[-1][1] == depth:
+            node, depth = join(stack.pop()[0], node), depth - 1
+        stack.append((node, depth))
+    return stack[0][0]
 
 
 class TestEnumeration:
@@ -50,9 +74,8 @@ class TestEnumeration:
             assert len(labels) == expected  # all distinct
 
     def test_fills_each_template_left_to_right(self):
-        # the trees, and their order: every nested template with n leaf
-        # slots, by left-subtree size, then left, then right, each filled
-        # left to right by every permutation of the symbols
+        # the trees, each once: every nested template with n leaf slots,
+        # each filled left to right by every permutation of the symbols
         slot = None
 
         def templates(n):
@@ -66,27 +89,29 @@ class TestEnumeration:
                 return next(feed)
             return (fill(template[0], feed), fill(template[1], feed))
 
-        for n in range(2, 6):
+        for n in range(2, 7):
             src = Source.from_weights(("s%d" % i, i + 1) for i in range(n))
-            shapes = [t.shape for t in enumerate_complete_trees(src).members]
-            assert shapes == [fill(template, iter(perm))
-                              for template in templates(n)
-                              for perm in permutations(src.symbols)]
+            shapes = Counter(
+                t.shape for t in enumerate_complete_trees(src).members)
+            assert shapes == Counter(fill(template, iter(perm))
+                                     for template in templates(n)
+                                     for perm in permutations(src.symbols))
+            assert set(shapes.values()) == {1}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_templates_are_leaf_depths_left_to_right(self, n):
-        templates = oracle._templates(n)
+        templates = _templates(n)
         assert len(set(templates)) == len(templates) == catalan(n - 1)
         symbols = ["s%d" % i for i in range(n)]
         for depths in templates:
             assert len(depths) == n
             assert sum(Fraction(1, 2 ** d) for d in depths) == 1
             if n == 1:  # a source needs two symbols; the tree is its leaf
-                assert oracle._fill(depths, symbols) == "s0"
+                assert _fill(depths, symbols) == "s0"
                 continue
             src = Source.from_weights((s, 1) for s in symbols)
             leaves = symbols[::-1]  # not the source order
-            tree = CodeTree(src, oracle._fill(depths, leaves))
+            tree = CodeTree(src, _fill(depths, leaves))
             # prefix-free codewords sort into left-to-right leaf order
             words = sorted(code_from_tree(tree).words.items(),
                            key=lambda item: item[1])
@@ -94,10 +119,13 @@ class TestEnumeration:
             assert tuple(len(word) for _, word in words) == depths
 
     def test_count_formula(self):
-        # n! * Catalan(n-1) complete trees on n labeled leaves
+        # n! * Catalan(n-1) complete trees on n labeled leaves, counted
+        # without enumerating them
         assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
-        five = Source([("s%d" % i, Fraction(1, 5)) for i in range(5)])
-        assert enumerate_complete_trees(five).count == 120 * 14
+        for n in range(2, 9):
+            src = Source.from_weights(("s%d" % i, 1) for i in range(n))
+            enum = enumerate_complete_trees(src)
+            assert enum.count == factorial(n) * catalan(n - 1), n
 
     def test_all_members_complete(self, ex3):
         for tree in enumerate_complete_trees(ex3).members:
@@ -210,8 +238,9 @@ class TestVerifyTheorems:
 
         monkeypatch.setattr(oracle, "strong_monotonicity_scan", scan)
         assert verify_theorems(src).all_passed
-        classes = {tuple(map(tree.depth_of, src.symbols))
-                   for tree in enumerate_complete_trees(src).members}
+        perms = _permutations(src)
+        classes = {key for skeleton in _skeletons(len(src))
+                   for _, key, _, _ in _ordered_read(skeleton, perms)}
         assert len(scanned) == len(classes)
         assert set(scanned) == classes
 
@@ -406,7 +435,7 @@ def _skeleton(depths):
         nodes.append((left, right))
         return n + len(nodes) - 1
 
-    oracle._fill(depths, range(n), join)
+    _fill(depths, range(n), join)
     top = max(depths)
     return _Skeleton(depths, tuple(nodes),
                      sum(1 << (top - d) for d in depths) == 1 << top)
@@ -415,7 +444,7 @@ def _skeleton(depths):
 @lru_cache(maxsize=None)
 def _skeletons(n):
     """The skeleton of every ordered template with n leaves, in order."""
-    return tuple(map(_skeleton, oracle._templates(n)))
+    return tuple(map(_skeleton, _templates(n)))
 
 
 def _permutations(source):
@@ -451,23 +480,25 @@ _READ_IDS = ([name for name, _ in builtin_corpus()]
 
 @pytest.mark.parametrize("src", _READ_SOURCES, ids=_READ_IDS)
 def test_skeleton_read_agrees_with_the_enumeration(src):
-    # tree by tree, in one order: what the reference reader reads off
-    # each template's skeleton equals what the enumerated `CodeTree` gives
+    # tree by tree: the enumeration gives exactly the shapes the reference
+    # fills, each once, and what the reference reader reads off each fill
+    # of a template's skeleton equals what the enumerated `CodeTree` gives
     symbols, den = src.symbols, src.den
-    trees = enumerate_complete_trees(src).members
+    reads = {}
     perms = _permutations(src)
     for skeleton in _skeletons(len(src)):
         for perm, key, total, pairs in _ordered_read(skeleton, perms):
-            tree = next(trees)
-            assert key == tuple(map(tree.depth_of, symbols))
-            assert total == tree.expected_length() * den
-            assert skeleton.complete == tree.is_complete == (
-                kraft_sum(key) == 1)
-            assert sorted(pairs) == sorted(
-                (hi, lo) for hi, lo, _, _ in _sibling_pairs(tree))
-            assert oracle._fill(skeleton.depths,
-                                tuple(symbols[s] for s in perm)) == tree.shape
-    assert next(trees, None) is None
+            shape = _fill(skeleton.depths, [symbols[s] for s in perm])
+            reads[shape] = key, total, skeleton.complete, sorted(pairs)
+    assert len(reads) == factorial(len(src)) * catalan(len(src) - 1)
+    for tree in enumerate_complete_trees(src).members:
+        key, total, complete, pairs = reads.pop(tree.shape)
+        assert key == tuple(map(tree.depth_of, symbols))
+        assert total == tree.expected_length() * den
+        assert complete == tree.is_complete == (kraft_sum(key) == 1)
+        assert pairs == sorted(
+            (hi, lo) for hi, lo, _, _ in _sibling_pairs(tree))
+    assert not reads
 
 
 @pytest.mark.parametrize(
@@ -493,10 +524,11 @@ def test_unordered_read_agrees_with_the_ordered_reader(src):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_codes_are_the_canonical_forms_of_every_tree(n):
     # `_codes` reads each flip class once, by its canonical form, and the
-    # orientations of the forms are every enumerated tree
+    # orientations of the forms are every tree of the template reference
     src = Source.from_weights(("s%d" % i, i + 1) for i in range(n))
     codes = list(oracle._codes(n))
-    shapes = [t.shape for t in enumerate_complete_trees(src).members]
+    shapes = [_fill(depths, perm) for depths in _templates(n)
+              for perm in permutations(src.symbols)]
     table = {}
     forms = {interned(CodeTree(src, shape), table, canonical=True)
              for shape in shapes}
