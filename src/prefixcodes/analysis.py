@@ -17,6 +17,7 @@ from .core import (
     PrefixCode,
     Source,
     _checked_lengths,
+    _kraft,
     code_lengths,
     expected_length,
     kraft_sum,
@@ -170,10 +171,12 @@ def improve_from_witness(source: Source, lengths: Sequence[int],
         raise InvalidWitness("witness needs 0 <= i < j")
     in_a = [s in a_set for s in source.symbols]
     in_b = [s in b_set for s in source.symbols]
-    if kraft_sum(compress(lengths, in_a)) != Fraction(1, 2 ** witness.i):
-        raise InvalidWitness("K(A) != 2^-i")
-    if kraft_sum(compress(lengths, in_b)) != Fraction(1, 2 ** witness.j):
-        raise InvalidWitness("K(B) != 2^-j")
+    # K = num / 2^top is 2^-k iff num == 2^(top - k); no 2^k is built
+    for chosen, k, fault in ((in_a, witness.i, "K(A) != 2^-i"),
+                             (in_b, witness.j, "K(B) != 2^-j")):
+        num, top = _kraft(tuple(compress(lengths, chosen)))
+        if not (k <= top and num == 1 << (top - k)):
+            raise InvalidWitness(fault)
     if source.prob_of(a_set) >= source.prob_of(b_set):
         raise InvalidWitness("P(A) >= P(B): nothing to improve")
     delta = witness.j - witness.i

@@ -80,7 +80,7 @@ class Source:
                 raise InvalidSource(
                     "symbol %r contains a reserved character" % sym)
             if sym in seen:
-                raise DuplicateSymbol(sym)
+                raise DuplicateSymbol("duplicate symbol %r" % sym)
             seen.add(sym)
             if weight <= 0:
                 raise InvalidSource("probability of %r is not positive" % sym)
@@ -104,13 +104,13 @@ class Source:
         try:
             return Fraction(sum(self.weight_of[s] for s in symbols), self.den)
         except KeyError as exc:
-            raise UnknownSymbol(exc.args[0]) from None
+            raise UnknownSymbol("unknown symbol %r" % exc.args[0]) from None
 
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]
         except KeyError:
-            raise UnknownSymbol(symbol) from None
+            raise UnknownSymbol("unknown symbol %r" % symbol) from None
 
     def __eq__(self, other) -> bool:  # the weights sum to `den`
         return (isinstance(other, Source) and self.symbols == other.symbols
@@ -136,7 +136,7 @@ class PrefixCode:
         table = {}
         for sym, word in pairs:
             if sym in table:
-                raise DuplicateSymbol(sym)
+                raise DuplicateSymbol("duplicate symbol %r" % sym)
             if not word or set(word) - {"0", "1"}:
                 raise PrefixViolation(
                     "codeword for %r must be a nonempty 0/1 string" % sym)
@@ -152,7 +152,7 @@ class PrefixCode:
         try:
             return self.words[symbol]
         except KeyError:
-            raise UnknownSymbol(symbol) from None
+            raise UnknownSymbol("unknown symbol %r" % symbol) from None
 
     @property
     def symbols(self):
@@ -284,7 +284,7 @@ class CodeTree:
         try:
             return self._leaf_id[symbol]
         except KeyError:
-            raise UnknownSymbol(symbol) from None
+            raise UnknownSymbol("unknown symbol %r" % symbol) from None
 
     def depth_of(self, symbol: str) -> int:
         return self.depths[self.leaf_id(symbol)]

@@ -46,7 +46,7 @@ class TreeEnumeration:
 
 _JOIN = -1  # an internal node in a post-order code
 _Code = Tuple[int, ...]  # a tree in post-order: symbol ids and joins
-_Read = Tuple[_Code, Tuple[int, ...], int, List[Tuple[int, int]]]
+_Read = Tuple[_Code, Tuple[int, ...], List[Tuple[int, int]]]
 
 
 def _codes(n: int) -> Iterator[_Code]:
@@ -85,10 +85,9 @@ def _lengths(code: _Code, n: int) -> Tuple[int, ...]:
 
 
 def _unordered(source: Source) -> Iterator[_Read]:
-    """Per unordered complete tree: its code, its length vector, its
-    weighted depth sum (expected length times `den`) and the (hi, lo)
-    weights of each join's two children.  All but the code are the same
-    on each of the tree's 2^(n-1) orientations."""
+    """Per unordered complete tree: its code, its length vector and the
+    (hi, lo) weights of each join's two children.  All but the code are
+    the same on each of the tree's 2^(n-1) orientations."""
     weights, n = source.weights, len(source)
     for code in _codes(n):
         lengths = _lengths(code, n)
@@ -101,7 +100,7 @@ def _unordered(source: Source) -> Iterator[_Read]:
                 pairs.append((a, b) if a >= b else (b, a))
             else:
                 stack.append(weights[t])
-        yield code, lengths, sum(map(mul, weights, lengths)), pairs
+        yield code, lengths, pairs
 
 
 def _shapes(source: Source, code: _Code, flips: bool = False
@@ -242,24 +241,22 @@ def verify_theorems(source: Source) -> VerificationReport:
     """Exhaustively cross-check every characterization on one source.
 
     Runs the optimality / Huffman / swap-equivalence statements against
-    every complete tree.  Each per-tree check reads only what flipping a
-    node's children keeps: the length vector, the weighted depth sum and
-    the multiset of sibling weight pairs.  So each unordered labelled
-    tree (`_unordered`) is checked once, for its 2^(n-1) orientations, and is
-    named by its canonical orientation.  Optimal membership is tested by
-    code.  The trees the greedy sibling check lists are compared with the
-    Huffman trees as canonical forms, and the closures with the ordered
-    trees the codes stand for.  A length class shares its Kraft sum and
-    its strong-monotonicity verdict, and a multiset of sibling weight
-    pairs the backtracking sibling search.  A `CodeTree` is built only
-    to start a closure and to run that search.  The pairwise same-row
-    swap check is skipped above 5 symbols to stay at desk scale; every
-    other check runs up to 8 symbols.
+    every complete tree.  Each check reads only what flipping a node's
+    children keeps, so one pass reads each unordered labelled tree
+    (`_unordered`) once, for its 2^(n-1) orientations, names it by its
+    canonical orientation and groups it by length vector.  Theorem 1's
+    three properties read the vector alone, so each length class is
+    checked once, and a multiset of sibling weight pairs shares the
+    backtracking sibling search.  The trees the greedy sibling check
+    lists are compared with the Huffman trees as canonical forms, and
+    the closures with the ordered trees the codes stand for.  A
+    `CodeTree` is built only to start a closure and to run that search.
+    The pairwise same-row swap check is skipped above 5 symbols to stay
+    at desk scale; every other check runs up to 8 symbols.
     """
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     report = VerificationReport(source=source)
     checks = report.checks
-    symbols = source.symbols
     flips = 1 << (len(source) - 1)  # the orientations of a tree
 
     # Shapes are compared and hashed by value, which recurses once per
@@ -269,18 +266,8 @@ def verify_theorems(source: Source) -> VerificationReport:
     table: ShapeTable = {}
     huffman_forms = {interned(t, table, canonical=True)
                      for t in huffman_trees}
-    huffman_length_keys = {tuple(map(t.depth_of, symbols))
+    huffman_length_keys = {tuple(map(t.depth_of, source.symbols))
                            for t in huffman_trees}
-    best, opt_codes = _optimum(source)  # one brute-force pass for both
-    optimal = set(opt_codes)
-    min_len = Fraction(best, source.den)
-
-    # Huffman optimality, independently of the sibling property.
-    built = huffman_build(source)
-    checks.append(TheoremCheck(
-        "huffman-achieves-minimum",
-        built.expected_length() == min_len,
-        "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
 
     # The first three counterexamples of each check: codes, a Huffman
     # tree's label, or an incomplete length vector.
@@ -291,51 +278,19 @@ def verify_theorems(source: Source) -> VerificationReport:
         if len(bad[name]) < 3:
             bad[name].append(counterexample)
 
-    # Per-length-assignment verdicts are shared by all trees that induce
-    # the same codeword lengths, so memoize on the length vector, which
-    # both checks take as is.  None marks an assignment where
-    # package-merge and the subset scan differ (verdict or witness); it
-    # equals no verdict, so it fails the check.  A vector whose Kraft sum
-    # is not 1 has no verdict: the checks presuppose a complete tree.
-    incomplete = object()
-    sm_by_lengths: Dict[Tuple[int, ...], object] = {}
-
-    def strongly_monotone(key: Tuple[int, ...]) -> object:
-        if key not in sm_by_lengths:
-            num, top = _kraft(key)
-            if num != 1 << top:
-                note("kraft", key)
-                sm_by_lengths[key] = incomplete
-            else:
-                witness = strong_monotonicity_check(source, key)
-                agree = witness == strong_monotonicity_scan(source, key)
-                sm_by_lengths[key] = (witness is None) if agree else None
-        return sm_by_lengths[key]
-
     def shape_of(code: _Code) -> Shape:
         return _shapes(source, code)[0]
 
     def labels(name: str) -> List[str]:
         return [shape_label(shape_of(code)) for code in bad[name]]
 
-    row_class_checked = len(source) <= 5
     # multiset of sibling weight pairs -> whether the backtracking search
     # lists it; the answer depends on the pairs and the root weight alone
     listable: Dict[Tuple[Tuple[int, int], ...], bool] = {}
     sibling_codes: List[_Code] = []
-    # length key -> (first code of the class, whether `_optimum` lists it)
-    reps: Dict[Tuple[int, ...], Tuple[_Code, bool]] = {}
-    classes: Dict[Tuple[int, ...], List[_Code]] = {}  # only if row-checked
-    checked = 0
-
-    for code, key, total, pairs in _unordered(source):
-        monotone = strongly_monotone(key)
-        if monotone is incomplete:
-            continue
-        in_opt = code in optimal
-        if not (total == best) == monotone == (
-                key in huffman_length_keys) == in_opt:
-            note("equivalence", code)
+    classes: Dict[Tuple[int, ...], List[_Code]] = {}  # length vector -> codes
+    for code, key, pairs in _unordered(source):
+        classes.setdefault(key, []).append(code)
         greedy = _greedy_listing(pairs)  # sorts the pairs
         multiset = tuple(pairs)
         if multiset not in listable:
@@ -345,20 +300,43 @@ def verify_theorems(source: Source) -> VerificationReport:
             note("sibling", code)
         if greedy:
             sibling_codes.append(code)
-        if key not in reps:
-            reps[key] = (code, in_opt)
-        if row_class_checked:
-            classes.setdefault(key, []).append(code)
-        checked += 1
     for tree in huffman_trees:
         if not is_monotone(tree):
             note("monotone", tree.label)
 
+    # Theorem 1 presupposes a complete tree: an incomplete class is
+    # reported by its vector and dropped, so its trees are not counted.
+    for key in list(classes):
+        num, top = _kraft(key)
+        if num != 1 << top:
+            note("kraft", key)
+            del classes[key]
+    # weighted depth sums, the expected lengths times `den`
+    totals = {key: sum(map(mul, source.weights, key)) for key in classes}
+    best = min(totals.values())
+    min_len = Fraction(best, source.den)
+    # None marks a vector where package-merge and the subset scan differ
+    # (verdict or witness); it equals no verdict, so it fails the check.
+    for key, codes in classes.items():
+        witness = strong_monotonicity_check(source, key)
+        agree = witness == strong_monotonicity_scan(source, key)
+        verdict = (witness is None) if agree else None
+        if not (totals[key] == best) == verdict == (
+                key in huffman_length_keys):
+            note("equivalence", codes[0])
+    optimal = [key for key in classes if totals[key] == best]
+
+    # Huffman optimality, independently of the sibling property.
+    built = huffman_build(source)
+    checks.append(TheoremCheck(
+        "huffman-achieves-minimum",
+        built.expected_length() == min_len,
+        "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",
         not bad["equivalence"],
         "counterexamples: %s" % labels("equivalence") if bad["equivalence"]
-        else "%d trees checked" % (checked * flips)))
+        else "%d trees checked" % (sum(map(len, classes.values())) * flips)))
     # the Huffman trees are whole flip classes: each canonical form
     # stands for `flips` of them
     same_set = ({shape_of(code) for code in sibling_codes} == huffman_forms
@@ -388,7 +366,8 @@ def verify_theorems(source: Source) -> VerificationReport:
         % (len(shapes), len(huffman_shapes))))
 
     # All optimal trees form one {same-row, same-probability} class.
-    opt_shapes = _ordered(source, opt_codes)
+    opt_shapes = _ordered(source, (code for key in optimal
+                                   for code in classes[key]))
     shapes, truncated = closure_shapes(
         huffman_trees[0], {SwapKind.SAME_ROW, SwapKind.SAME_PROBABILITY})
     checks.append(TheoremCheck(
@@ -397,26 +376,23 @@ def verify_theorems(source: Source) -> VerificationReport:
         "closure size %d vs %d optimal trees"
         % (len(shapes), len(opt_shapes))))
 
-    # Every optimal tree's same-row class contains a Huffman tree.
-    corollary_ok = True
-    detail = ""
-    for key, (_, optimal_class) in reps.items():
-        if optimal_class and key not in huffman_length_keys:
-            corollary_ok = False
-            detail = "optimal class %s has no Huffman member" % (key,)
-            break
+    # Every optimal tree's same-row class contains a Huffman tree.  At
+    # n <= 5 each class is checked to be one same-row closure; such a
+    # class holds a Huffman tree iff its vector is a Huffman length
+    # vector, which is what this profile comparison checks at every n.
+    missing = [key for key in optimal if key not in huffman_length_keys]
+    corollary_ok = not missing
+    detail = ("optimal class %s has no Huffman member" % (missing[0],)
+              if missing else "")
+    row_class_checked = len(source) <= 5
     if row_class_checked:
-        for key, (code, optimal_class) in reps.items():
-            rep = CodeTree(source, shape_of(code))
+        for codes in classes.values():
+            rep = CodeTree(source, shape_of(codes[0]))
             closure_row = set(closure_shapes(rep, {SwapKind.SAME_ROW})[0])
-            if closure_row != _ordered(source, classes[key]):
+            if closure_row != _ordered(source, codes):
                 corollary_ok = False
                 detail = "same-row closure of %s != its length class" % (
                     rep.label)
-                break
-            if optimal_class and closure_row.isdisjoint(huffman_shapes):
-                corollary_ok = False
-                detail = "optimal same-row class without a Huffman tree"
                 break
     checks.append(TheoremCheck(
         "length-equivalent-iff-same-row-swap-equivalent",

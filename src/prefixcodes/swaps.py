@@ -204,7 +204,7 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     prob moves) are equal, and is listed afresh otherwise.  Returns the
     recorded shapes with their back-pointers, the moves from `tree` to
     `target` (None if not reached), and whether the cap skipped a
-    neighbour.
+    neighbour.  A closure returns at the first neighbour the cap skips.
     """
     if cap < 1:  # the start is always recorded
         raise ValueError("closure cap must be at least 1, got %d" % cap)
@@ -232,6 +232,8 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
             if id(shape) in parent:
                 continue
             if shape is not goal and len(parent) >= cap:
+                if goal is None:  # a closure can record nothing more
+                    return parent, None, True
                 truncated = True
                 continue
             new = node_swap(current, move, table.setdefault)

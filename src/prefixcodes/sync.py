@@ -18,6 +18,7 @@ from .errors import NotComplete, NotInternal, SubsetCapExceeded
 
 MAX_INTERNAL_NODES = 24
 DEFAULT_SUBSET_CAP = 1 << MAX_INTERNAL_NODES
+_BITS = {"0": 0, "1": 1}  # any other character is `decoder_step`'s error
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ def decoder_step(tree: CodeTree, state: int, bit: int) -> int:
     """One decoding step: follow the bit edge, resetting at leaves."""
     if not tree.is_complete:
         raise NotComplete("the decoder automaton needs a complete tree")
+    if not 0 <= state < len(tree.symbols):
+        raise NotInternal("node %d is not in the tree" % state)
     if tree.symbols[state] is not None:
         raise NotInternal("node %d is a leaf" % state)
     if bit not in (0, 1):
@@ -42,7 +45,7 @@ def decoder_step(tree: CodeTree, state: int, bit: int) -> int:
 def run_string(tree: CodeTree, state: int, bits: str) -> int:
     """Run the decoder from `state` over a whole bit string."""
     for ch in bits:
-        state = decoder_step(tree, state, int(ch))
+        state = decoder_step(tree, state, _BITS.get(ch, ch))
     return state
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from prefixcodes import (
     strong_monotonicity_check,
     tree_from_code,
 )
+from prefixcodes import analysis
 from prefixcodes.cli import main
 from prefixcodes.errors import (
     AlphabetMismatch,
@@ -138,6 +140,31 @@ class TestImproveFromWitness:
         with pytest.raises(InvalidWitness):
             improve_from_witness(ex3, code, not_violating)
 
+    @pytest.mark.parametrize("A, B, i, j, fault", [
+        (("c", "z"), ("a",), 1, 2, "witness symbols outside the alphabet"),
+        (("a",), ("c", "z"), 1, 2, "witness symbols outside the alphabet"),
+        (("c",), ("a",), 1, 2, "K(A) != 2^-i"),  # K(A) = 1/4
+        (("c", "d"), ("a",), 2, 3, "K(A) != 2^-i"),  # 1/2, not 1/4
+        ((), ("a",), 0, 2, "K(A) != 2^-i"),  # the empty set's sum is 0
+        (("c", "d"), ("a", "b"), 1, 2, "K(B) != 2^-j"),  # K(B) = 1/2
+        (("c", "d"), ("a",), 1, 3, "K(B) != 2^-j"),  # 1/4, not 1/8
+    ])
+    def test_each_invalid_witness_branch(self, ex3, A, B, i, j, fault):
+        code = load_lengths(ex3, "ex3_c.code")  # every length 2
+        witness = MonotonicityWitness(A=A, B=B, i=i, j=j)
+        with pytest.raises(InvalidWitness, match="^%s$" % re.escape(fault)):
+            improve_from_witness(ex3, code, witness)
+
+    @pytest.mark.parametrize("i, j", [(1, 10 ** 9), (10 ** 9, 10 ** 9 + 1)])
+    def test_exponent_past_the_longest_codeword(self, ex3, i, j):
+        # rejected from the lengths alone, with no 2^j built
+        code = load_lengths(ex3, "ex3_c.code")
+        witness = strong_monotonicity_check(ex3, code)
+        assert (witness.i, witness.j) == (1, 2)
+        bogus = MonotonicityWitness(A=witness.A, B=witness.B, i=i, j=j)
+        with pytest.raises(InvalidWitness):
+            improve_from_witness(ex3, code, bogus)
+
 
 class TestClassify:
     def test_ex3_c(self, ex3):
@@ -165,6 +192,13 @@ class TestClassify:
         assert report.strongly_monotone and report.optimal
         assert report.huffman_member
         assert report.length_equivalent_to_huffman
+
+    def test_complete_code_needs_kraft_sum_one(self, ex3, monkeypatch):
+        monkeypatch.setattr(analysis, "kraft_sum",
+                            lambda lengths: Fraction(1, 2))
+        with pytest.raises(ConsistencyError,
+                           match="^complete code with Kraft sum 1/2$"):
+            classify(ex3, load_code("ex3_h.code"))
 
     def test_non_complete_code(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])

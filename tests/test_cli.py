@@ -177,6 +177,19 @@ class TestCheckCommand:
     def test_alphabet_mismatch(self, capsys):
         assert main(["check", fx("ex3.src"), fx("ex5_h1.code")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 0\nb 01\nc 11\nd 10\n",
+         "codeword of 'a' is a prefix of codeword of 'b'"),
+        ("a 00\nb 01\na 10\nd 11\n", "duplicate symbol 'a'"),
+    ], ids=["prefix", "duplicate"])
+    def test_bad_code_file(self, tmp_path, capsys, text, message):
+        code = tmp_path / "bad.code"
+        code.write_text(text)
+        assert main(["check", fx("ex3.src"), str(code)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == ""
+
 
 class TestSwapsCommand:
     def test_certificate(self, capsys):

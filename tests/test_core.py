@@ -97,8 +97,15 @@ class TestSource:
             Source([("x", Fraction(1))])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(DuplicateSymbol):
+        with pytest.raises(DuplicateSymbol, match="^duplicate symbol 'x'$"):
             Source([("x", Fraction(1, 2)), ("x", Fraction(1, 2))])
+        with pytest.raises(DuplicateSymbol, match="^duplicate symbol 'x'$"):
+            Source.from_weights([("x", 1), ("x", 1)])
+
+    def test_rejects_an_empty_symbol(self):
+        with pytest.raises(InvalidSource,
+                           match="^symbols must be nonempty strings$"):
+            Source.from_weights([("", 1), ("y", 1)])
 
     @pytest.mark.parametrize("char", ["(", ")", ",", "_", " ", "\t", "\n"])
     def test_rejects_reserved_characters(self, char):
@@ -123,8 +130,15 @@ class TestPrefixCode:
             PrefixCode({"a": "", "b": "1"})
 
     def test_duplicate_symbol(self):
-        with pytest.raises(DuplicateSymbol):
+        with pytest.raises(DuplicateSymbol, match="^duplicate symbol 'a'$"):
             PrefixCode([("a", "0"), ("a", "1")])
+
+    def test_hash_and_repr(self):
+        code = PrefixCode({"a": "0", "b": "10", "c": "11"})
+        same = PrefixCode([("c", "11"), ("a", "0"), ("b", "10")])
+        assert code == same and hash(code) == hash(same)
+        assert code != PrefixCode({"a": "1", "b": "00", "c": "01"})
+        assert repr(code) == "PrefixCode(a:0, b:10, c:11)"
 
 
 class TestCodeTree:
@@ -150,6 +164,14 @@ class TestCodeTree:
         for build in (CodeTree, reference_arena):
             with pytest.raises(InvalidTree, match="^%s$" % message):
                 build(self.ABC, shape)
+
+    def test_hash_and_repr(self):
+        tree = CodeTree(self.ABC, ("c", ("a", "b")))
+        same = CodeTree(Source.from_weights([("a", 2), ("b", 2), ("c", 4)]),
+                        ("c", ("a", "b")))
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != CodeTree(self.ABC, (("a", "b"), "c"))
+        assert repr(tree) == "CodeTree((c,(a,b)))"
 
 
 def _unordered(shape):
@@ -409,10 +431,16 @@ class TestKraftSum:
         assert kraft_sum(lengths.values()) == 1
 
     def test_unknown_symbol(self, ex3):
-        with pytest.raises(UnknownSymbol):
+        unknown = "^unknown symbol 'zz'$"
+        with pytest.raises(UnknownSymbol, match=unknown):
             ex3.index("zz")  # how a subset of a vector is picked
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match=unknown):
             load_code("ex3_c.code").word("zz")
+        with pytest.raises(UnknownSymbol, match=unknown):
+            ex3.prob_of(["a", "zz"])
+        _, tree = load_tree("ex3.src", "ex3_c.code")
+        with pytest.raises(UnknownSymbol, match=unknown):
+            tree.leaf_id("zz")
 
     def test_empty_subset_is_fraction_zero(self, ex3):
         total = kraft_sum([])

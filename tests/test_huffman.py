@@ -215,6 +215,13 @@ class TestSiblingProperty:
         with pytest.raises(NotComplete):
             sibling_property(tree)
 
+    def test_exhaustive_not_complete(self):
+        src = Source.from_weights([("a", 2), ("b", 1), ("c", 1)])
+        tree = tree_from_code(src, {"a": "0", "b": "10", "c": "110"})
+        with pytest.raises(NotComplete,
+                           match="^a non-root node lacks a sibling$"):
+            sibling_property_exhaustive(tree)
+
     def test_greedy_matches_backtracking(self, ex1, ex3, ex4, ex5):
         from prefixcodes.oracle import enumerate_complete_trees
         for src in (ex1, ex3, ex4, ex5):

@@ -26,7 +26,7 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
-from prefixcodes.core import code_from_tree, interned, kraft_sum
+from prefixcodes.core import code_from_tree, interned, kraft_sum, shape_label
 from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import strong_monotonicity_scan
@@ -141,7 +141,29 @@ class TestEnumeration:
             enumerate_complete_trees(src)
 
 
+def _reference_optimum(source):
+    """The least weighted depth sum over every template filled with every
+    permutation of the symbols, and the labels of the trees reaching it."""
+    weights, symbols = source.weights, source.symbols
+    fills = [(sum(weights[s] * d for s, d in zip(perm, depths)), depths, perm)
+             for depths in _templates(len(source))
+             for perm in permutations(range(len(source)))]
+    best = min(total for total, _, _ in fills)
+    return best, {shape_label(_fill(depths, [symbols[s] for s in perm]))
+                  for total, depths, perm in fills if total == best}
+
+
+def _sources_of_size(n):
+    return [src for src in _READ_SOURCES if len(src) == n]
+
+
 class TestMinExpectedLength:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_template_reference(self, n):
+        for src in _sources_of_size(n):
+            best, _ = _reference_optimum(src)
+            assert min_expected_length(src) == Fraction(best, src.den)
+
     def test_known_values(self, ex1, ex3):
         assert min_expected_length(ex1) == Fraction(7, 4)
         assert min_expected_length(ex3) == Fraction(15, 8)
@@ -152,6 +174,12 @@ class TestMinExpectedLength:
 
 
 class TestOptimalSet:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_template_reference(self, n):
+        for src in _sources_of_size(n):
+            _, labels = _reference_optimum(src)
+            assert optimal_set(src) == labels
+
     def test_example4_members(self, ex4):
         labels = optimal_set(ex4)
         _, h1 = load_tree("ex4.src", "ex4_h1.code")
@@ -229,20 +257,38 @@ class TestVerifyTheorems:
 
     @pytest.mark.parametrize("name", ["tied4", "ninths5", "tied6a"])
     def test_scans_each_length_class_once(self, name, monkeypatch):
+        # one pass over the unordered trees, no second brute-force pass,
+        # and the Kraft sum and both strong-monotonicity verdicts once per
+        # length vector of the template reference
         src = dict(builtin_corpus())[name]
-        scanned = []
+        calls = {"codes": [], "kraft": [], "check": [], "scan": []}
 
-        def scan(source, lengths):
-            scanned.append(lengths)
-            return strong_monotonicity_scan(source, lengths)
+        def recording(kind, real):
+            def call(*args):
+                calls[kind].append(args[-1])
+                return real(*args)
+            return call
 
-        monkeypatch.setattr(oracle, "strong_monotonicity_scan", scan)
+        def optimum(source):
+            raise AssertionError("verify must not call _optimum")
+
+        monkeypatch.setattr(oracle, "_codes",
+                            recording("codes", oracle._codes))
+        monkeypatch.setattr(oracle, "_optimum", optimum)
+        monkeypatch.setattr(oracle, "_kraft",
+                            recording("kraft", oracle._kraft))
+        monkeypatch.setattr(oracle, "strong_monotonicity_check",
+                            recording("check", strong_monotonicity_check))
+        monkeypatch.setattr(oracle, "strong_monotonicity_scan",
+                            recording("scan", strong_monotonicity_scan))
         assert verify_theorems(src).all_passed
+        assert calls["codes"] == [len(src)]
         perms = _permutations(src)
         classes = {key for skeleton in _skeletons(len(src))
                    for _, key, _, _ in _ordered_read(skeleton, perms)}
-        assert len(scanned) == len(classes)
-        assert set(scanned) == classes
+        for kind in ("kraft", "check", "scan"):
+            assert len(calls[kind]) == len(classes), kind
+            assert set(calls[kind]) == classes, kind
 
     def test_flags_a_witness_that_differs_from_the_scan(self, ex3,
                                                           monkeypatch):
@@ -369,32 +415,74 @@ class TestVerifyDetectsCorruptedInputs:
         assert _failing(ex3) == {"huffman-achieves-minimum"}
 
     @pytest.mark.parametrize("corrupt, failing", [
-        # no tree reaches the minimum, yet every listed tree is optimal
-        (lambda best, fills: (best - 1, fills),
-         {"huffman-achieves-minimum"}),
-        # one tree reaches the minimum, yet the optimum does not list it
-        (lambda best, fills: (best, fills[1:]),
-         {"optimal-swap-equivalence"}),
-    ], ids=["best", "fills"])
-    def test_optimality_disagrees_with_the_optimum(self, ex3, monkeypatch,
-                                                   corrupt, failing):
-        real = oracle._optimum
-        monkeypatch.setattr(oracle, "_optimum",
-                            lambda source: corrupt(*real(source)))
-        assert _failing(ex3) == failing | {
-            "optimal-iff-strongly-monotone-iff-length-equivalent"}
+        # the optimal trees are never read, so a worse class reads as
+        # optimal: it is not strongly monotone and has no Huffman tree
+        ("drop-optimal", {
+            "huffman-achieves-minimum",
+            "optimal-iff-strongly-monotone-iff-length-equivalent",
+            "sibling-property-iff-huffman",
+            "optimal-swap-equivalence",
+            "length-equivalent-iff-same-row-swap-equivalent"}),
+        # a non-optimal tree is read with an optimal length vector: every
+        # vector's verdicts agree, but its class is not that vector's
+        # trees
+        ("misread", {
+            "optimal-swap-equivalence",
+            "length-equivalent-iff-same-row-swap-equivalent"}),
+    ], ids=["drop-optimal", "misread"])
+    def test_read_disagrees_with_the_trees(self, ex3, monkeypatch, corrupt,
+                                           failing):
+        reads = list(oracle._unordered(ex3))
+
+        def total(read):
+            return sum(map(mul, ex3.weights, read[1]))
+
+        best = min(map(total, reads))
+        optimal = [read for read in reads if total(read) == best]
+        worse = [read for read in reads if total(read) != best]
+        if corrupt == "drop-optimal":
+            reads = worse
+        else:
+            code, _, pairs = worse[0]
+            reads = [read for read in reads if read[0] != code]
+            reads.append((code, optimal[0][1], pairs))
+        monkeypatch.setattr(oracle, "_unordered", lambda source: iter(reads))
+        assert _failing(ex3) == failing
+
+    def test_optimal_class_without_huffman_trees(self, ex3, monkeypatch):
+        # the Huffman trees of one optimal length vector go missing: that
+        # class alone fails the profile comparison, as its closures hold
+        real = oracle.huffman_enumerate
+
+        def key(tree):
+            return tuple(map(tree.depth_of, tree.source.symbols))
+
+        # not the first tree's vector: the closures start from that tree
+        first, *rest = map(key, real(ex3))
+        lost = next(other for other in rest if other != first)
+        monkeypatch.setattr(oracle, "huffman_enumerate", lambda source: [
+            tree for tree in real(source) if key(tree) != lost])
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "optimal-iff-strongly-monotone-iff-length-equivalent",
+            "sibling-property-iff-huffman",
+            "huffman-swap-equivalence",
+            "length-equivalent-iff-same-row-swap-equivalent"}
+        assert checks[
+            "length-equivalent-iff-same-row-swap-equivalent"].detail == (
+            "optimal class %s has no Huffman member" % (lost,))
 
     def test_enumeration_yields_an_incomplete_tree(self, ex3, monkeypatch):
         # the trees `verify` reads gain an incomplete one, first: the
         # first tree read with its first leaf one row deeper
         real = oracle._unordered
-        code, key, total, pairs = next(real(ex3))
+        code, key, pairs = next(real(ex3))
         incomplete = (key[0] + 1, *key[1:])
         assert incomplete == (4, 1, 2, 3)
         assert kraft_sum(incomplete) == Fraction(15, 16)
 
         def read(source):
-            yield code, incomplete, total + source.weights[0], pairs
+            yield code, incomplete, pairs
             yield from real(source)
 
         monkeypatch.setattr(oracle, "_unordered", read)
@@ -506,16 +594,19 @@ def test_skeleton_read_agrees_with_the_enumeration(src):
         zip("abcdefg", (5, 4, 3, 3, 2, 2, 1)))],
     ids=_READ_IDS + ["tied7"])
 def test_unordered_read_agrees_with_the_ordered_reader(src):
-    # per length vector, weighted depth sum and sorted multiset of sibling
-    # weight pairs, `verify`'s read of unordered trees counts each tree
-    # once for its 2^(n-1) orientations, and the reference reads them all
+    # per length vector and sorted multiset of sibling weight pairs,
+    # `verify`'s read of unordered trees counts each tree once for its
+    # 2^(n-1) orientations, and the reference reads them all; the weighted
+    # depth sum that `verify` takes from the length vector is the
+    # reference's
     ordered, unordered = Counter(), Counter()
     perms = _permutations(src)
     for skeleton in _skeletons(len(src)):
         for _, key, total, pairs in _ordered_read(skeleton, perms):
-            ordered[key, total, tuple(sorted(pairs))] += 1
-    for _, key, total, pairs in oracle._unordered(src):
-        unordered[key, total, tuple(sorted(pairs))] += 1 << (len(src) - 1)
+            assert total == sum(map(mul, src.weights, key))
+            ordered[key, tuple(sorted(pairs))] += 1
+    for _, key, pairs in oracle._unordered(src):
+        unordered[key, tuple(sorted(pairs))] += 1 << (len(src) - 1)
     assert unordered == ordered
     assert sum(ordered.values()) == factorial(len(src)) * catalan(
         len(src) - 1)

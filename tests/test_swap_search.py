@@ -24,7 +24,7 @@ from prefixcodes import swaps
 from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from prefixcodes.swaps import SwapMove, _fold, closure_shapes, swapped_shape
-from conftest import load_tree, random_trees
+from conftest import caterpillar, load_tree, random_trees
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -178,28 +178,62 @@ def _record_expansions(monkeypatch):
 def test_each_expanded_state_probes_its_own_listing(monkeypatch, ex4, ex5,
                                                     kinds):
     # a state may reuse its predecessor's listing, but only when that is
-    # the listing `available_swaps` gives for the state itself
+    # the listing `available_swaps` gives for the state itself; a closed
+    # closure expands every state it records, and a truncated one stops
+    # at the first neighbour its cap skips
     trees = (list(huffman_enumerate(ex4)) + list(huffman_enumerate(ex5))
              + random_trees())
     probed, recorded, listed = _record_expansions(monkeypatch)
-    reused = 0
+    reused = stopped = 0
     for tree in trees:
-        for cap in (10, 10 ** 6):
+        for cap in (3, 10, 10 ** 6):
             probed.clear()
             recorded.clear()
             listed.clear()
             closure = swap_closure(tree.source, tree, kinds, cap)
             assert len(recorded) == len(closure.members) - 1
             states = [tree] + [new for _, _, new in recorded]
-            listings = {id(state): available_swaps(state, kinds)
+            listings = {id(state): [(m.u, m.v) for m in
+                                    available_swaps(state, kinds)]
                         for state in states}
-            for state in states:  # a closure expands every state it records
-                assert probed.get(id(state), []) == [
-                    (m.u, m.v) for m in listings[id(state)]]
             for before, move, _ in recorded:
-                assert move in listings[id(before)]
+                assert (move.u, move.v) in listings[id(before)]
             reused += len(states) - len(listed)
+            if not closure.truncated:
+                for state in states:  # every listed move probed, in order
+                    assert probed.get(id(state), []) == listings[id(state)]
+                continue
+            # states are expanded in record order, each probing its own
+            # listing in order, until the first probe to a shape outside
+            # the full closure
+            assert len(closure.members) == cap
+            last = list(probed)[-1]
+            k = [id(state) for state in states].index(last)
+            for state in states[:k]:
+                assert probed.get(id(state), []) == listings[id(state)]
+            probes = probed[last]
+            assert probes == listings[last][:len(probes)]
+            assert not any(id(state) in probed for state in states[k + 1:])
+            landed = [shape_label(_fold(state, u, v))
+                      for state in states[:k + 1]
+                      for u, v in probed.get(id(state), [])]
+            assert set(landed[:-1]) <= set(closure.members)
+            assert landed[-1] not in closure.members
+            stopped += len(probes) < len(listings[last])
     assert reused > 0
+    assert stopped > 0  # some closure stops inside a listing
+
+
+def test_capped_closure_stops_at_the_cap(monkeypatch):
+    # the 1,100-leaf caterpillar's start state lists 1,099 parent swaps;
+    # with cap 3 the third probe is the first the cap skips
+    source, words = caterpillar(1100)
+    tree = tree_from_code(source, words)
+    assert len(available_swaps(tree, {SwapKind.SAME_PARENT})) == 1099
+    probed, _, _ = _record_expansions(monkeypatch)
+    closure = swap_closure(source, tree, {SwapKind.SAME_PARENT}, 3)
+    assert len(closure.members) == 3 and closure.truncated
+    assert sum(map(len, probed.values())) == 3
 
 
 def test_row_search_lists_moves_once(monkeypatch, ex5):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,15 @@ class TestSwapMove:
             with pytest.raises(AttributeError):
                 setattr(move, field, 3)
         assert move == SwapMove(1, 2, SwapKind.SAME_ROW)
+
+    @pytest.mark.parametrize("text", [
+        "", "row 1 0 1", "row 1 0 1 1 1", "parent"])
+    def test_move_text_needs_five_fields(self, ex4, text):
+        _, h1 = load_tree("ex4.src", "ex4_h1.code")
+        with pytest.raises(ParseError,
+                           match="^expected 'kind row_u idx_u row_v idx_v': "
+                           "%s$" % re.escape(repr(text))):
+            move_from_text(h1, text)
 
     def test_listed_moves_round_trip_through_text(self, ex4, ex5):
         for source in (ex4, ex5):

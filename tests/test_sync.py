@@ -40,8 +40,24 @@ class TestDecoderStep:
         for bit in (2, -1):
             with pytest.raises(ValueError, match="bit must be 0 or 1"):
                 decoder_step(h1, h1.root, bit)
-        with pytest.raises(ValueError, match="bit must be 0 or 1"):
-            run_string(h1, h1.root, "2")
+        for bits in ("2", "x", "0x"):
+            with pytest.raises(ValueError,
+                               match="^bit must be 0 or 1, not '.'$"):
+                run_string(h1, h1.root, bits)
+
+    def test_rejects_states_outside_the_tree(self):
+        # five nodes: ids 0-4; -1 would index the last node from the end
+        src = Source.from_weights([("a", 2), ("b", 1), ("c", 1)])
+        tree = huffman_build(src)
+        assert len(tree.symbols) == 5
+        for state in (5, 6, -1, -5):
+            for bit in (0, 1):
+                with pytest.raises(NotInternal,
+                                   match="^node %d is not in the tree$"
+                                   % state):
+                    decoder_step(tree, state, bit)
+            with pytest.raises(NotInternal, match="not in the tree"):
+                run_string(tree, state, "0")
 
     def test_rejects_incomplete_tree(self):
         src = Source([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])
