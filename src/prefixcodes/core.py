@@ -334,8 +334,8 @@ class CodeTree:
 ShapeTable = Dict[object, Shape]
 
 
-def interned(tree: CodeTree, table: ShapeTable,
-             canonical: bool = False) -> Shape:
+def interned(tree: CodeTree, table: ShapeTable, canonical: bool = False,
+             least_of: Optional[Dict[int, int]] = None) -> Shape:
     """Enter `tree`'s shapes in `table` (its own, where the table holds no
     equal one) and return the root's.
 
@@ -343,7 +343,8 @@ def interned(tree: CodeTree, table: ShapeTable,
     orientation: each node with two children puts the one holding the
     least source index on its left, and a node with one child keeps it
     on its side.  Trees that differ only by swapping siblings then give
-    one shape, one object in the table.
+    one shape, one object in the table.  Given `least_of`, it maps the
+    id of each shape entered to the least source index below it.
     """
     shapes, lefts, rights = tree.shapes, tree.lefts, tree.rights
     index = tree.source._index
@@ -363,6 +364,8 @@ def interned(tree: CodeTree, table: ShapeTable,
         else:
             least[nid] = index[shape]
         held[nid] = table.setdefault(key, shape)
+        if least_of is not None:
+            least_of[id(held[nid])] = least[nid]
     return held[0]
 
 

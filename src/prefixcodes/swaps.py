@@ -17,6 +17,37 @@ listings keyed on those fields would keep every distinct listing alive
 for the whole search.  `closure_shapes` hands back the recorded shapes
 and `swap_closure` renders one label per shape.  Moves are serialized as
 (row, index-in-row) pairs.
+
+For kinds with parent and without row, `swap_closure` and
+`swap_equivalent` first search the flip quotient.  A parent swap flips
+the two children of one node; a node with one child has no sibling pair,
+so it never flips.  Every internal node has one or two children, so a
+tree with n leaves has k = n - 1 nodes with two, and its 2^k flip
+patterns give 2^k distinct trees (the highest node two patterns flip
+differently has different leaf sets on its left), one orbit, held once
+as its canonical form (`interned(..., canonical=True)`).  A prob swap of
+nodes u, v in a tree T is a prob swap of their images in any flip f(T),
+since f keeps weights and ancestry, and its result is a flip of the
+result in T: prob moves commute with flips.  So the class of T under
+{parent} or {parent, prob} is the union of the orbits of the forms that
+prob moves reach from T's form, 2^k trees each, and the search over
+forms probes prob moves alone.  Each rebuilt node is put in canonical
+orientation as it is interned (`_Oriented`), so the probe that finds a
+recorded form is one fold, as in the ordered search.
+
+The quotient changes no answer.  It runs only when 2^k is at most the
+cap, under the cap `cap >> k`; that is decided from n before any search.
+If it closes with m forms, the class holds m * 2^k <= cap trees, so the
+ordered search would close too and record them all: the closure is the
+forms' orbits (`_flip_labels`), sorted as the ordered labels are.  If
+the class holds the target's form, it is reachable, and the ordered
+search runs to find the certificate, so certificates stay shortest and
+a `Truncated` from the cap stays as it was.  If the quotient closes
+without the target's form, the ordered search would close without it
+too: not equivalent.  If the quotient hits its cap, the ordered search
+runs in its place and truncates, or not, exactly as it always did.
+`closure_shapes`, which `verify` checks the paper's statements with,
+stays ordered, and so do kinds with row.
 """
 
 from __future__ import annotations
@@ -26,6 +57,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from operator import attrgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
@@ -53,6 +85,42 @@ class SwapMove(NamedTuple):
 # id(shape) -> (shape, id of the previous shape, move from it)
 _Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
 _Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
+
+
+class _Oriented:
+    """Intern hooks for `_fold` and `node_swap` in a search over canonical
+    forms: each rebuilt node with two children is put in canonical
+    orientation, as `interned(..., canonical=True)` puts it, before the
+    table is asked.  `least` maps the id of each shape the table holds to
+    the least source index below it, and keys no other shape, since a
+    freed tuple's id is reused."""
+
+    __slots__ = ("table", "least")
+
+    def __init__(self, table: ShapeTable):
+        self.table = table
+        self.least: Dict[int, int] = {}
+
+    def get(self, key: Tuple[int, int], shape: Shape) -> Shape:
+        left, right = shape
+        if left is not None and right is not None:
+            least = self.least
+            low_left, low_right = least.get(id(left)), least.get(id(right))
+            if low_left is None or low_right is None:
+                return shape  # a child the table lacks: so does this node
+            if low_right < low_left:
+                return self.table.get((key[1], key[0]), (right, left))
+        return self.table.get(key, shape)
+
+    def setdefault(self, key: Tuple[int, int], shape: Shape) -> Shape:
+        left, right = shape
+        least = self.least
+        if (left is not None and right is not None
+                and least[id(right)] < least[id(left)]):
+            key, shape = (key[1], key[0]), (right, left)
+        held = self.table.setdefault(key, shape)
+        least[id(held)] = least[id(shape[0] or shape[1])]  # the left, if any
+        return held
 
 
 @dataclass(frozen=True)
@@ -193,7 +261,7 @@ def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
 
 
 def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
-            target: Optional[CodeTree] = None
+            target: Optional[CodeTree] = None, canonical: bool = False
             ) -> Tuple[_Parents, Optional[List[SwapMove]], bool]:
     """Breadth-first search from `tree`, stopping once `target` is seen.
 
@@ -205,12 +273,24 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     recorded shapes with their back-pointers, the moves from `tree` to
     `target` (None if not reached), and whether the cap skipped a
     neighbour.  A closure returns at the first neighbour the cap skips.
+
+    With `canonical`, the states are the canonical forms of the trees,
+    starting from `tree`'s, and any search returns at the first skip.
     """
     if cap < 1:  # the start is always recorded
         raise ValueError("closure cap must be at least 1, got %d" % cap)
     table: ShapeTable = {}
-    interned(tree, table)  # the table is empty, so these are tree's own
-    goal = None if target is None else interned(target, table)
+    if canonical:
+        hooks = _Oriented(table)
+        probe, enter = hooks.get, hooks.setdefault
+        tree = CodeTree(tree.source,
+                        interned(tree, table, True, hooks.least))
+        goal = None if target is None else interned(target, table, True,
+                                                    hooks.least)
+    else:
+        probe, enter = table.get, table.setdefault
+        interned(tree, table)  # the table is empty, so these are tree's own
+        goal = None if target is None else interned(target, table)
     parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
     if goal is tree.shape:
         return parent, [], False
@@ -228,15 +308,15 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
             moves = available_swaps(current, kinds)
         here, fields_here = id(current.shape), arena(current)
         for move in moves:
-            shape = _fold(current, move.u, move.v, table.get)  # unchecked
+            shape = _fold(current, move.u, move.v, probe)  # unchecked
             if id(shape) in parent:
                 continue
             if shape is not goal and len(parent) >= cap:
-                if goal is None:  # a closure can record nothing more
+                if goal is None or canonical:  # nothing more to record
                     return parent, None, True
                 truncated = True
                 continue
-            new = node_swap(current, move, table.setdefault)
+            new = node_swap(current, move, enter)
             parent[id(new.shape)] = (new.shape, here, move)
             queue.append((new, moves if arena(new) == fields_here else None))
             if shape is goal:
@@ -246,6 +326,54 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
                     _, here, move = parent[here]
                 return parent, path[::-1], truncated
     return parent, None, truncated
+
+
+def _form_cap(tree: CodeTree, kinds: Set[SwapKind], cap: int) -> int:
+    """The cap of the flip-quotient search for `kinds` from `tree`, or 0
+    where the ordered search runs instead: kinds without parent or with
+    row, or a cap below 2^(n - 1), the orbit of each form."""
+    if (SwapKind.SAME_PARENT not in kinds or SwapKind.SAME_ROW in kinds
+            or cap < 1):
+        return 0
+    return cap >> (len(tree.source) - 1)
+
+
+def _flip_labels(shape: Shape) -> List[str]:
+    """The labels of the trees every flip pattern of `shape` gives, unsorted.
+
+    Post-order over the shape with an explicit stack.  A finished subtree
+    is the labels of its orientations, held as (opening pieces in reverse,
+    labels below, closing pieces), so a chain of one-child nodes, which
+    do not flip, wraps each label once rather than once per node.
+    """
+    done: List[Tuple[List[str], List[str], List[str]]] = []
+    todo = [(shape, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, str):
+            done.append(([], [node], []))
+        elif not ready:
+            todo.append((node, True))
+            todo.extend((child, False) for child in node[::-1]
+                        if child is not None)  # the left finishes first
+        elif node[0] is None or node[1] is None:
+            opening, _, closing = done[-1]
+            opening.append("(" if node[1] is None else "(_,")
+            closing.append(",_)" if node[1] is None else ")")
+        else:
+            right, left = _unwrapped(done.pop()), _unwrapped(done.pop())
+            done.append(([], ["(%s,%s)" % pair for pair in product(left, right)]
+                         + ["(%s,%s)" % pair for pair in product(right, left)],
+                         []))
+    return _unwrapped(done[0])
+
+
+def _unwrapped(item: Tuple[List[str], List[str], List[str]]) -> List[str]:
+    opening, labels, closing = item
+    if not opening:
+        return labels
+    head, tail = "".join(reversed(opening)), "".join(closing)
+    return [head + label + tail for label in labels]
 
 
 def closure_shapes(tree: CodeTree, kinds: Set[SwapKind],
@@ -262,6 +390,14 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
     """Breadth-first closure of a tree under the requested swap kinds."""
     if tree.source != source:
         raise AlphabetMismatch("tree is not over the given source")
+    forms = _form_cap(tree, kinds, cap)
+    if forms:
+        parent, _, truncated = _search(tree, kinds - {SwapKind.SAME_PARENT},
+                                       forms, canonical=True)
+        if not truncated:  # else the ordered search decides, as it did
+            return ClosureResult(tuple(sorted(
+                label for shape, _, _ in parent.values()
+                for label in _flip_labels(shape))), False)
     shapes, truncated = closure_shapes(tree, kinds, cap)
     return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated)
 
@@ -275,6 +411,12 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
     """
     if t1.source != source or t2.source != source:
         raise AlphabetMismatch("trees are not over the given source")
+    forms = _form_cap(t1, kinds, cap)
+    if forms:  # a reachable target's certificate is the ordered search's
+        _, path, truncated = _search(t1, kinds - {SwapKind.SAME_PARENT},
+                                     forms, t2, canonical=True)
+        if path is None and not truncated:
+            return None
     _, path, truncated = _search(t1, kinds, cap, t2)
     if path is not None:
         return path

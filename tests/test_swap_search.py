@@ -2,16 +2,20 @@
 that builds a tree for every neighbour and keys on its label, as the
 search once did."""
 
-from collections import deque
+import random
+from collections import Counter, deque
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from prefixcodes import (
     ClosureResult,
+    Source,
     SwapKind,
     available_swaps,
     code_from_tree,
+    enumerate_complete_trees,
     huffman_build,
     huffman_enumerate,
     node_swap,
@@ -24,7 +28,8 @@ from prefixcodes import swaps
 from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from prefixcodes.swaps import SwapMove, _fold, closure_shapes, swapped_shape
-from conftest import caterpillar, load_tree, random_trees
+from conftest import (caterpillar, catalan, load_tree, random_trees,
+                      tree_for_label)
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -51,6 +56,20 @@ def reference_search(tree, kinds, cap, target=None):
             parent[label] = (current.label, move)
             queue.append(neighbor)
     return parent, truncated
+
+
+def ordered_closure(tree, kinds, cap):
+    """The closure of the ordered engine, which `verify` runs."""
+    shapes, truncated = closure_shapes(tree, kinds, cap)
+    return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated)
+
+
+def ordered_equivalent(t1, t2, kinds, cap):
+    """`swap_equivalent`'s answer from the ordered search alone."""
+    _, path, truncated = swaps._search(t1, kinds, cap, t2)
+    if path is None and truncated:
+        raise Truncated("closure cap %d hit before deciding equivalence" % cap)
+    return path
 
 
 def reference_closure(source, tree, kinds, cap):
@@ -127,20 +146,32 @@ def _also_listing(bad):
 ])
 def test_search_checks_each_move_it_records(monkeypatch, ex4, bad, error):
     # the search folds listed moves unchecked, so a bad move that leads to
-    # an unrecorded tree must be caught where that tree is built
+    # an unrecorded tree must be caught where that tree is built.  Under
+    # {parent, prob} the flip quotient searches first, and the bad move
+    # leads to an unrecorded form there: the closure, and the question
+    # for c, which the quotient decides alone, raise from its search
     _, h1 = load_tree("ex4.src", "ex4_h1.code")
     _, h2 = load_tree("ex4.src", "ex4_h2.code")  # not a neighbour of h1
+    _, c = load_tree("ex4.src", "ex4_c.code")  # reached only with row moves
     for kinds in ({SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY},
                   set(SwapKind)):
         members = swap_closure(ex4, h1, kinds).members
         assert h2.label in members
+        assert (c.label in members) is (SwapKind.SAME_ROW in kinds)
         assert shape_label(_fold(h1, bad.u, bad.v)) not in members
         monkeypatch.setattr("prefixcodes.swaps.available_swaps",
                             _also_listing(bad))
-        with pytest.raises(error):
-            swap_closure(ex4, h1, kinds)
+        searches = _spy_searches(monkeypatch)
         with pytest.raises(error):
             swap_equivalent(ex4, h1, h2, kinds)
+        for call in (lambda: swap_closure(ex4, h1, kinds),
+                     lambda: swap_equivalent(ex4, h1, c, kinds)):
+            searches.clear()
+            with pytest.raises(error):
+                call()
+            # one search, which raised
+            assert [(canonical, end) for _, canonical, end in searches] == [
+                (SwapKind.SAME_ROW not in kinds, None)]
         monkeypatch.undo()
 
 
@@ -180,7 +211,8 @@ def test_each_expanded_state_probes_its_own_listing(monkeypatch, ex4, ex5,
     # a state may reuse its predecessor's listing, but only when that is
     # the listing `available_swaps` gives for the state itself; a closed
     # closure expands every state it records, and a truncated one stops
-    # at the first neighbour its cap skips
+    # at the first neighbour its cap skips.  This is the ordered engine:
+    # `swap_closure` searches canonical forms for parent kinds
     trees = (list(huffman_enumerate(ex4)) + list(huffman_enumerate(ex5))
              + random_trees())
     probed, recorded, listed = _record_expansions(monkeypatch)
@@ -190,7 +222,7 @@ def test_each_expanded_state_probes_its_own_listing(monkeypatch, ex4, ex5,
             probed.clear()
             recorded.clear()
             listed.clear()
-            closure = swap_closure(tree.source, tree, kinds, cap)
+            closure = ordered_closure(tree, kinds, cap)
             assert len(recorded) == len(closure.members) - 1
             states = [tree] + [new for _, _, new in recorded]
             listings = {id(state): [(m.u, m.v) for m in
@@ -322,3 +354,208 @@ def _certificate(parent, label):
         moves.append(move)
         label, move = parent[label]
     return moves[::-1]
+
+
+# -- the flip quotient ------------------------------------------------------
+
+PARENT, PROB = SwapKind.SAME_PARENT, SwapKind.SAME_PROBABILITY
+QUOTIENT_KINDS = [{PARENT}, {PARENT, PROB}]
+TIED = {2: (1, 1), 3: (1, 1, 1), 4: (1, 1, 2, 2), 5: (1, 1, 2, 2, 3)}
+
+
+def _spy_searches(monkeypatch):
+    """Log each search `swaps._search` starts as [cap, canonical, end]:
+    end is "closed", "reached" or "truncated", or None if it raised."""
+    log = []
+    search = swaps._search
+
+    def spy(tree, kinds, cap, target=None, canonical=False):
+        entry = [cap, canonical, None]
+        log.append(entry)
+        found = search(tree, kinds, cap, target, canonical)
+        _, path, truncated = found
+        entry[2] = ("truncated" if truncated else
+                    "closed" if path is None else "reached")
+        return found
+
+    monkeypatch.setattr(swaps, "_search", spy)
+    return log
+
+
+def _quotient_ends(searches):
+    return Counter(end for _, canonical, end in searches if canonical)
+
+
+def _walk(rng, tree, kinds, steps):
+    for _ in range(steps):
+        tree = node_swap(tree, rng.choice(available_swaps(tree, kinds)))
+    return tree
+
+
+def _tied_source(n):
+    return Source.from_weights(("s%d" % i, w) for i, w in enumerate(TIED[n]))
+
+
+def _quotient_cases(trees, rng):
+    """Each tree with one target: every other tree gets a {parent, prob}
+    walk from it, which its classes may hold, and the rest the tree
+    before it in the list."""
+    return [(tree, [_walk(rng, tree, {PARENT, PROB}, 2) if i % 2
+                    else trees[i - 1]])
+            for i, tree in enumerate(trees)]
+
+
+def _check_quotient(tree, targets, kinds, cap, closures):
+    """Assert that `swap_closure` and `swap_equivalent` give the ordered
+    engine's answers; returns the kinds of answer seen.  `closures` keeps
+    every closed ordered closure by member label: a class that fits the
+    cap closes the same from any member, and holds every tree the ordered
+    search could reach, so it answers for the other members too."""
+    source, seen = tree.source, set()
+    closure = swap_closure(source, tree, kinds, cap)
+    known = closures.get(tree.label)
+    if known is None:
+        known = ordered_closure(tree, kinds, cap)
+        if not known.truncated:
+            closures.update(dict.fromkeys(known.members, known))
+    assert closure == known
+    seen.add(_kind_of(closure))
+    for target in targets:
+        got = _outcome(lambda: swap_equivalent(source, tree, target, kinds,
+                                               cap))
+        if not known.truncated and target.label not in known.members:
+            assert got is None
+        else:
+            assert got == _outcome(
+                lambda: ordered_equivalent(tree, target, kinds, cap))
+        seen.add(_kind_of(got))
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quotient_agrees_on_every_ordered_tree(monkeypatch, n):
+    # every complete ordered tree over a tied source, as a closure start
+    # and an equivalence query, at caps 3, 10 and 10^6
+    trees = list(enumerate_complete_trees(_tied_source(n)).members)
+    assert len(trees) == factorial(n) * catalan(n - 1)
+    searches = _spy_searches(monkeypatch)
+    cases, seen = _quotient_cases(trees, random.Random(n)), set()
+    for kinds in QUOTIENT_KINDS:
+        for cap in CAPS:
+            closures = {}
+            for tree, targets in cases:
+                seen |= _check_quotient(tree, targets, kinds, cap, closures)
+    assert seen >= {"closed", "certificate"}
+    ends = _quotient_ends(searches)
+    assert ends["closed"] and ends["reached"]
+    if n > 2:  # two trees, one class
+        assert "none" in seen
+    if n in (3, 4):  # the quotient runs at cap 10, and its classes exceed it
+        assert ends["truncated"] and seen >= {"truncated", "cap"}
+
+
+def _six_symbol_sample():
+    """Twenty-four trees over seeded 6-symbol sources with ties: Huffman
+    trees, walks from them under every kind, and half of those made
+    incomplete by lengthening one codeword."""
+    rng = random.Random(20261020)
+    trees = []
+    for i in range(24):
+        source = Source.from_weights(("s%d" % j, rng.randint(1, 4))
+                                     for j in range(6))
+        tree = _walk(rng, huffman_build(source), set(SwapKind), 3)
+        if i % 2:
+            words = dict(code_from_tree(tree).words)
+            words[rng.choice(source.symbols)] += rng.choice("01")
+            tree = tree_from_code(source, words)
+        trees.append(tree)
+    return trees
+
+
+def test_quotient_agrees_on_a_six_symbol_sample(monkeypatch):
+    trees = _six_symbol_sample()
+    assert sum(not tree.is_complete for tree in trees) == 12
+    searches = _spy_searches(monkeypatch)
+    rng, seen = random.Random(6), set()
+    for kinds in QUOTIENT_KINDS:
+        for cap in CAPS:
+            for tree in trees:
+                targets = [_walk(rng, tree, {PARENT, PROB}, 2),
+                           _walk(rng, tree, set(SwapKind), 2)]
+                seen |= _check_quotient(tree, targets, kinds, cap, {})
+    assert seen >= {"closed", "truncated", "certificate", "none", "cap"}
+    ends = _quotient_ends(searches)
+    assert ends["closed"] and ends["reached"]
+
+
+@pytest.mark.parametrize("weights, size", [
+    ((5, 4, 3, 3, 2, 2, 1, 1, 1), 13_824),
+    ((6, 5, 4, 3, 3, 2, 2, 1, 1, 1), 27_648),
+])
+def test_parent_prob_closure_of_huffman_is_every_huffman_tree(weights, size):
+    # the paper: Huffman codes are exactly one {parent, prob} swap class
+    source = Source.from_weights(("s%d" % i, w) for i, w in enumerate(weights))
+    closure = swap_closure(source, huffman_build(source), {PARENT, PROB})
+    assert not closure.truncated and len(closure.members) == size
+    assert closure.members == tuple(sorted(
+        tree.label for tree in huffman_enumerate(source)))
+
+
+def test_quotient_cap_is_decided_before_any_search(monkeypatch, ex4):
+    # ex4's Huffman class is 3 forms of 2^3 = 8 trees: cap 24 leaves room
+    # for all three, cap 23 for two, so the ordered search runs after the
+    # quotient's, and cap 7 for none; a cap below 1 is refused at once
+    _, h1 = load_tree("ex4.src", "ex4_h1.code")
+    searches = _spy_searches(monkeypatch)
+    for cap, expected in ((24, [(3, True)]), (23, [(2, True), (23, False)]),
+                          (7, [(7, False)])):
+        searches.clear()
+        closure = swap_closure(ex4, h1, {PARENT, PROB}, cap)
+        assert [(c, canonical) for c, canonical, _ in searches] == expected
+        assert closure == ordered_closure(h1, {PARENT, PROB}, cap)
+        assert closure.truncated == (cap < 24)
+    for cap in (0, -3):
+        searches.clear()
+        with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+            swap_closure(ex4, h1, {PARENT, PROB}, cap)
+        assert searches == [[cap, False, None]]  # raised on entry
+
+
+def test_deep_incomplete_chain_goes_through_the_quotient(monkeypatch):
+    # 1,100 one-child nodes above two leaves: two nodes flip, so the
+    # quotient runs, and nothing may recurse over the shape.  (Each node
+    # of the chain has one weight, so a prob listing would test every
+    # pair of them for ancestry.)
+    source = Source.from_weights([("a", 1), ("b", 2), ("c", 1)])
+    chain = "0" * 1100
+
+    def tree(top, low, high):
+        return tree_from_code(source, {top: "1", low: chain + "0",
+                                       high: chain + "1"})
+
+    start = tree("c", "a", "b")
+    searches = _spy_searches(monkeypatch)
+    closure = swap_closure(source, start, {PARENT}, 10)
+    assert closure == ordered_closure(start, {PARENT}, 10)
+    assert len(closure.members) == 4 and not closure.truncated
+    assert tree("c", "b", "a").label in closure.members
+    flip = SwapMove(1, 2, PARENT)  # the root's children
+    assert swap_equivalent(source, start, node_swap(start, flip),
+                           {PARENT}) == [flip]
+    assert swap_equivalent(source, start, tree("a", "c", "b"),
+                           {PARENT}) is None
+    assert _quotient_ends(searches) == {"closed": 2, "reached": 1}
+
+
+def test_a_capped_quotient_leaves_the_question_to_the_ordered_search(
+        monkeypatch):
+    # cap 8 leaves room for one form of 2^3 trees; the ordered search
+    # records partial orbits of more forms, and reaches this target by
+    # two prob moves, so the quotient's skip decides nothing
+    source = _tied_source(4)
+    t1 = tree_for_label(source, "(((s3,s0),s2),s1)")
+    t2 = tree_for_label(source, "(s1,((s2,s0),s3))")
+    searches = _spy_searches(monkeypatch)
+    moves = swap_equivalent(source, t1, t2, {PARENT, PROB}, cap=8)
+    assert _quotient_ends(searches) == {"truncated": 1}
+    assert len(moves) == 2 and replay(t1, moves).label == t2.label
