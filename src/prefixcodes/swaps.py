@@ -46,8 +46,20 @@ a `Truncated` from the cap stays as it was.  If the quotient closes
 without the target's form, the ordered search would close without it
 too: not equivalent.  If the quotient hits its cap, the ordered search
 runs in its place and truncates, or not, exactly as it always did.
-`closure_shapes`, which `verify` checks the paper's statements with,
-stays ordered, and so do kinds with row.
+
+Kinds with row and without prob, {row} and {parent, row} (a parent swap
+is a row swap), keep every leaf's depth and keep a tree complete.  From
+a complete tree they reach every complete tree with its leaf depths:
+top down, any arrangement of row d is a product of row swaps, none of
+which touches a row above.  Such a tree is fixed by the order of each
+row, whose internal slots take the next row's nodes in pairs, so the
+class holds ∏_d m_d!/i_d! trees, row d holding m_d nodes, i_d internal.
+Where that is at most the cap, the ordered search would close too: the
+closure is listed (`_row_labels`), and a target that is incomplete or
+has other leaf depths is not equivalent, with no search.  A class over
+the cap, a certificate (kept shortest), an incomplete start, kinds with
+prob and `closure_shapes`, with which `verify` checks the paper's
+statements, this corollary among them, stay ordered.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import attrgetter
+from itertools import combinations, permutations, product
+from operator import attrgetter, itemgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -131,14 +143,6 @@ class ClosureResult:
     truncated: bool
 
 
-def _is_ancestor(tree: CodeTree, u: int, v: int) -> bool:
-    """True iff u is a (strict or equal) ancestor of v."""
-    parents, depths = tree.parents, tree.depths
-    while depths[v] > depths[u]:
-        v = parents[v]
-    return v == u
-
-
 def _check_kind(tree: CodeTree, move: SwapMove) -> None:
     u, v = move.u, move.v
     if move.kind is SwapKind.SAME_PARENT:
@@ -164,7 +168,10 @@ def swapped_shape(tree: CodeTree, move: SwapMove,
         raise AncestryViolation("cannot swap a node with itself")
     if not (0 <= u < len(tree.shapes) and 0 <= v < len(tree.shapes)):
         raise AncestryViolation("node id out of range")
-    if _is_ancestor(tree, min(u, v), max(u, v)):  # ids are breadth-first
+    low, high = max(u, v), min(u, v)  # ids are breadth-first
+    while tree.depths[low] > tree.depths[high]:
+        low = tree.parents[low]
+    if low == high:
         raise AncestryViolation("one swap endpoint is a descendant of the other")
     _check_kind(tree, move)
     return _fold(tree, u, v, intern)
@@ -212,7 +219,11 @@ def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
     prob_ok = SwapKind.SAME_PROBABILITY in kinds
     parents, depths, weights = tree.parents, tree.depths, tree.weights
     # ids are breadth-first, so rows are runs of ids and only u can be an
-    # ancestor of v; without prob, v stops at the end of u's row
+    # ancestor of v; without prob, v stops at the end of u's row.  A
+    # descendant of equal weight hangs below one-child nodes only, so
+    # only an incomplete tree needs the ancestry test, which is O(1)
+    entry, size = (_spans(tree) if prob_ok and not tree.is_complete
+                   else ([], []))
     moves = []
     for u in range(1, len(depths)):
         pu, du, wu = parents[u], depths[u], weights[u]
@@ -222,13 +233,27 @@ def available_swaps(tree: CodeTree, kinds: Set[SwapKind]) -> List[SwapMove]:
                 kind = SwapKind.SAME_PARENT
             elif row_ok and depths[v] == du:
                 kind = SwapKind.SAME_ROW
-            elif prob_ok and weights[v] == wu and (
-                    depths[v] == du or not _is_ancestor(tree, u, v)):
+            elif prob_ok and weights[v] == wu and not (
+                    entry and entry[u] < entry[v] < entry[u] + size[u]):
                 kind = SwapKind.SAME_PROBABILITY
             else:
                 continue
             moves.append(SwapMove(u, v, kind))
     return moves
+
+
+def _spans(tree: CodeTree) -> Tuple[List[int], List[int]]:
+    """Pre-order entry numbers and subtree sizes: u is a strict ancestor
+    of v iff entry[u] < entry[v] < entry[u] + size[u]."""
+    parents, lefts = tree.parents, tree.lefts
+    size, entry = [1] * len(parents), [0] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):  # children after parents
+        size[parents[v]] += size[v]
+    for v in range(1, len(parents)):  # a right child follows the left's
+        left = lefts[parents[v]]
+        entry[v] = entry[parents[v]] + 1 + (size[left] if left not in (None, v)
+                                            else 0)
+    return entry, size
 
 
 def move_to_text(tree: CodeTree, move: SwapMove) -> str:
@@ -338,6 +363,43 @@ def _form_cap(tree: CodeTree, kinds: Set[SwapKind], cap: int) -> int:
     return cap >> (len(tree.source) - 1)
 
 
+def _row_listed(tree: CodeTree, kinds: Set[SwapKind], cap: int) -> bool:
+    """Whether `_row_labels` lists the class of `tree` under `kinds`: row
+    without prob, a complete tree and ∏_d m_d!/i_d! <= `cap` trees."""
+    if (SwapKind.SAME_ROW not in kinds or SwapKind.SAME_PROBABILITY in kinds
+            or not tree.is_complete):
+        return False
+    size, symbols = 1, tree.symbols
+    for row in tree.rows():
+        for factor in range(sum(symbols[i] is None for i in row) + 1,
+                            len(row) + 1):
+            size *= factor
+            if size > cap:
+                return False
+    return True
+
+
+def _row_labels(tree: CodeTree) -> List[str]:
+    """The labels of the complete trees with `tree`'s leaf depths, unsorted:
+    bottom up, each arrangement of a row (an `itemgetter` over its slots'
+    labels, then its symbols) for each arrangement of the row below."""
+    symbols, below = tree.symbols, [()]
+    for row in tree.rows()[:0:-1]:
+        leaves = [symbols[i] for i in row if symbols[i] is not None]
+        slots, width = len(row) - len(leaves), len(row)
+        gets = [itemgetter(*[places.index(i) if i in places else next(rest)
+                             for i in range(width)])
+                for places in combinations(range(width), slots)
+                for rest in map(iter, permutations(range(slots, width)))]
+        pairs = "\n".join(["(%s,%s)"] * slots)  # no symbol holds a newline
+        level: List[Tuple[str, ...]] = []
+        for nodes in below:  # the deepest row, first, has no slots
+            pool = (pairs % nodes).split("\n") + leaves if slots else leaves
+            level.extend([get(pool) for get in gets])
+        below = level
+    return ["(%s,%s)" % nodes for nodes in below]
+
+
 def _flip_labels(shape: Shape) -> List[str]:
     """The labels of the trees every flip pattern of `shape` gives, unsorted.
 
@@ -390,6 +452,8 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
     """Breadth-first closure of a tree under the requested swap kinds."""
     if tree.source != source:
         raise AlphabetMismatch("tree is not over the given source")
+    if _row_listed(tree, kinds, cap):
+        return ClosureResult(tuple(sorted(_row_labels(tree))), False)
     forms = _form_cap(tree, kinds, cap)
     if forms:
         parent, _, truncated = _search(tree, kinds - {SwapKind.SAME_PARENT},
@@ -411,6 +475,9 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
     """
     if t1.source != source or t2.source != source:
         raise AlphabetMismatch("trees are not over the given source")
+    if _row_listed(t1, kinds, cap) and not (t2.is_complete and all(
+            t1.depth_of(s) == t2.depth_of(s) for s in source.symbols)):
+        return None  # every member is complete, with t1's leaf depths
     forms = _form_cap(t1, kinds, cap)
     if forms:  # a reachable target's certificate is the ordered search's
         _, path, truncated = _search(t1, kinds - {SwapKind.SAME_PARENT},

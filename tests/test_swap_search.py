@@ -29,7 +29,7 @@ from prefixcodes.core import CodeTree, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from prefixcodes.swaps import SwapMove, _fold, closure_shapes, swapped_shape
 from conftest import (caterpillar, catalan, load_tree, random_trees,
-                      tree_for_label)
+                      tree_for_label, tree_lengths)
 
 KIND_SETS = [set(c) for r in (1, 2, 3) for c in combinations(SwapKind, r)]
 CAPS = (3, 10, 10 ** 6)
@@ -269,11 +269,14 @@ def test_capped_closure_stops_at_the_cap(monkeypatch):
 
 
 def test_row_search_lists_moves_once(monkeypatch, ex5):
-    # a row swap keeps every node's depth, the one field a row listing reads
+    # a row swap keeps every node's depth, the one field a row listing
+    # reads.  This is the ordered engine: `swap_closure` lists {row}
+    # classes of complete trees without a search
     _, _, listed = _record_expansions(monkeypatch)
     for tree in huffman_enumerate(ex5):
         listed.clear()
-        closure = swap_closure(ex5, tree, {SwapKind.SAME_ROW})
+        closure = ordered_closure(tree, {SwapKind.SAME_ROW},
+                                  swaps.DEFAULT_CLOSURE_CAP)
         assert len(closure.members) > 1 and listed == [tree]
 
 
@@ -559,3 +562,195 @@ def test_a_capped_quotient_leaves_the_question_to_the_ordered_search(
     moves = swap_equivalent(source, t1, t2, {PARENT, PROB}, cap=8)
     assert _quotient_ends(searches) == {"truncated": 1}
     assert len(moves) == 2 and replay(t1, moves).label == t2.label
+
+
+def test_deep_incomplete_chain_lists_prob_moves_without_walking_it(
+        monkeypatch):
+    # every pair of the chain's 1,100 one-child nodes has one weight and
+    # is an ancestor and a descendant, so none is a prob move; listing
+    # numbers the tree once and tests each pair in O(1), where a walk up
+    # from one node to the other's row would make it cubic in the chain
+    source = Source.from_weights([("a", 1), ("b", 2), ("c", 1)])
+    chain = "0" * 1100
+
+    def tree(top, low, high):
+        return tree_from_code(source, {top: "1", low: chain + "0",
+                                       high: chain + "1"})
+
+    start = tree("c", "a", "b")
+    numbered, spans = [], swaps._spans
+    monkeypatch.setattr(swaps, "_spans",
+                        lambda tree: numbered.append(tree) or spans(tree))
+    assert available_swaps(start, {PARENT, PROB}) == [
+        SwapMove(1, 2, PARENT),  # the root's children
+        SwapMove(2, 1102, PROB),  # c and a, both of weight 1
+        SwapMove(1102, 1103, PARENT)]  # a and b, below the chain
+    assert numbered == [start]
+    monkeypatch.undo()
+    searches = _spy_searches(monkeypatch)
+    closure = swap_closure(source, start, {PARENT, PROB}, 10)
+    assert closure == ordered_closure(start, {PARENT, PROB}, 10)
+    assert len(closure.members) == 8 and not closure.truncated
+    assert tree("a", "c", "b").label in closure.members
+    target = tree("a", "b", "c")  # c and a exchanged, then a flip below
+    moves = swap_equivalent(source, start, target, {PARENT, PROB})
+    assert len(moves) == 2 and replay(start, moves).label == target.label
+    assert swap_equivalent(source, start, tree("b", "a", "c"),
+                           {PARENT, PROB}) is None  # b alone weighs 2
+    assert _quotient_ends(searches) == {"closed": 2, "reached": 1}
+
+
+# -- {row} classes by construction ------------------------------------------
+
+ROW = SwapKind.SAME_ROW
+ROW_KINDS = [{ROW}, {PARENT, ROW}]
+ROW_CAPS = (1, 3, 10, 10 ** 6)
+
+
+def _spy_row_labels(monkeypatch):
+    """Log the start tree of each class `swaps._row_labels` lists."""
+    log = []
+    listing = swaps._row_labels
+
+    def spy(tree):
+        log.append(tree)
+        return listing(tree)
+
+    monkeypatch.setattr(swaps, "_row_labels", spy)
+    return log
+
+
+def _row_targets(rng, tree):
+    """The tree itself, a row walk from it, the tree with two leaves on
+    different rows exchanged (another depth vector) and the tree with a
+    codeword lengthened (incomplete)."""
+    targets = [tree]
+    if available_swaps(tree, {ROW}):
+        targets.append(_walk(rng, tree, {ROW}, 2))
+    words = dict(code_from_tree(tree).words)
+    pairs = [(a, b) for a, b in combinations(sorted(words), 2)
+             if len(words[a]) != len(words[b])]
+    if pairs:
+        a, b = rng.choice(pairs)
+        targets.append(tree_from_code(tree.source,
+                                      {**words, a: words[b], b: words[a]}))
+    words[rng.choice(sorted(words))] += rng.choice("01")
+    return targets + [tree_from_code(tree.source, words)]
+
+
+def _check_rows(tree, targets, kinds, cap, listed, searches):
+    """Assert that `swap_closure` and `swap_equivalent` give the ordered
+    engine's answers, and that the class was listed, and a target
+    outside it answered, with no search, exactly where the tree is
+    complete and the class fits the cap; returns the kinds of answer."""
+    source, seen = tree.source, set()
+    full = ordered_closure(tree, kinds, 10 ** 6)
+    assert not full.truncated
+    fits = tree.is_complete and len(full.members) <= cap
+    listed.clear()
+    searches.clear()
+    closure = swap_closure(source, tree, kinds, cap)
+    assert listed == ([tree] if fits else []) and bool(searches) is not fits
+    assert closure == ordered_closure(tree, kinds, cap)
+    seen.add(_kind_of(closure))
+    for target in targets:
+        listed.clear()
+        searches.clear()
+        got = _outcome(lambda: swap_equivalent(source, tree, target, kinds,
+                                               cap))
+        outside = fits and target.label not in full.members
+        assert listed == [] and bool(searches) is not outside
+        assert got == _outcome(
+            lambda: ordered_equivalent(tree, target, kinds, cap))
+        if tree.is_complete:  # the corollary the listing rests on
+            assert (target.label in full.members) is (
+                target.is_complete
+                and tree_lengths(target) == tree_lengths(tree))
+        seen.add(_kind_of(got))
+    return seen
+
+
+@pytest.mark.parametrize("index", range(0, 240, 30))
+def test_row_listing_agrees_with_the_ordered_engine(monkeypatch, ex4, ex5,
+                                                    index):
+    # every tree of `random_trees()` (complete and incomplete, n = 3-6)
+    # and every Huffman tree of ex4 and ex5, under {row} and {parent, row}
+    # at caps 1, 3, 10 and 10^6
+    trees = (random_trees() + list(huffman_enumerate(ex4))
+             + list(huffman_enumerate(ex5)))
+    assert len(trees) == 238
+    rng, seen = random.Random(index), set()
+    cases = [(tree, _row_targets(rng, tree))
+             for tree in trees[index:index + 30]]
+    listed = _spy_row_labels(monkeypatch)
+    searches = _spy_searches(monkeypatch)
+    for kinds in ROW_KINDS:
+        for cap in ROW_CAPS:
+            for tree, targets in cases:
+                seen |= _check_rows(tree, targets, kinds, cap, listed,
+                                    searches)
+    assert seen >= {"closed", "truncated", "certificate", "same", "none"}
+    if index < 70:
+        assert "cap" in seen
+
+
+def _weighted(weights):
+    return Source.from_weights(("s%d" % i, w) for i, w in enumerate(weights))
+
+
+@pytest.mark.parametrize("weights", [(5, 4, 3, 3, 2, 2, 1, 1),
+                                     (8, 4, 3, 2, 2, 1, 1, 1),
+                                     (9, 7, 5, 3, 3, 2, 1, 1)])
+def test_row_class_count_is_the_ordered_closure_size(weights):
+    # n = 8: the product over rows of m_d! / i_d! is the ordered closure's
+    # size, the least cap the listing runs at, and the listing is that
+    # closure
+    tree = huffman_build(_weighted(weights))
+    for kinds in ROW_KINDS:
+        shapes, truncated = closure_shapes(tree, kinds)
+        size = len(shapes)
+        assert not truncated and size > 1000
+        assert swaps._row_listed(tree, kinds, size)
+        assert not swaps._row_listed(tree, kinds, size - 1)
+        assert sorted(swaps._row_labels(tree)) == sorted(
+            map(shape_label, shapes))
+
+
+def test_row_listing_lists_large_classes(monkeypatch):
+    # classes the ordered search takes seconds over: 4!/3! 6!/2! 4!/0!
+    # trees at n = 9, and 4!/3! 6!/2! 4!/1! 2!/0! for tied10's Huffman
+    # code
+    source9 = _weighted((5, 4, 3, 3, 2, 2, 1, 1, 1))
+    cases = [(huffman_build(source9), 34_560),
+             (load_tree("swaps/tied10.src", "swaps/tied10_h.code")[1],
+              69_120)]
+    searches = _spy_searches(monkeypatch)
+    rng = random.Random(9)
+    for tree, size in cases:
+        closure = swap_closure(tree.source, tree, {ROW})
+        assert len(closure.members) == size and not closure.truncated
+        assert len(set(closure.members)) == size
+        assert tree.label in closure.members
+        assert swaps._row_listed(tree, {ROW}, size)
+        assert not swaps._row_listed(tree, {ROW}, size - 1)
+        for label in rng.sample(closure.members, 100):
+            member = tree_for_label(tree.source, label)
+            assert member.is_complete
+            assert tree_lengths(member) == tree_lengths(tree)
+    assert searches == []
+
+
+def test_row_cap_below_one_is_refused_before_any_work(monkeypatch, ex5):
+    tree = huffman_build(ex5)
+    other = _row_targets(random.Random(5), tree)[-1]  # incomplete
+    listed = _spy_row_labels(monkeypatch)
+    searches = _spy_searches(monkeypatch)
+    for kinds in ROW_KINDS:
+        for cap in (0, -3):
+            searches.clear()
+            with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+                swap_closure(ex5, tree, kinds, cap)
+            with pytest.raises(ValueError, match="at least 1, got %d" % cap):
+                swap_equivalent(ex5, tree, other, kinds, cap)
+            assert searches == [[cap, False, None]] * 2  # raised on entry
+    assert listed == []
