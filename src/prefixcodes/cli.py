@@ -126,9 +126,10 @@ def tree_to_dot(tree: CodeTree) -> str:
     """Graphviz rendering: probabilities on nodes, 0/1 on edges."""
     lines = ["digraph codetree {", "  node [shape=circle];"]
     for nid, symbol in enumerate(tree.symbols):
-        if symbol is not None:
+        if symbol is not None:  # a symbol may hold a backslash or a quote
+            text = symbol.replace("\\", "\\\\").replace('"', '\\"')
             lines.append('  n%d [shape=box label="%s\\n%s"];'
-                         % (nid, symbol, tree.prob(nid)))
+                         % (nid, text, tree.prob(nid)))
         else:
             lines.append('  n%d [label="%s"];' % (nid, tree.prob(nid)))
     for nid, (left, right) in enumerate(zip(tree.lefts, tree.rights)):

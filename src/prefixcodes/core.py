@@ -16,6 +16,10 @@ across rebuilds of the same tree, a parent's id is below its
 children's and each row is a run of ids.  Since each node's subtree
 shape is kept, a rebuild that changes a few subtrees reuses the shapes
 of the rest.  No function here recurses, so trees of any depth work.
+`interned` enters a tree's shapes in a `ShapeTable`, one object per
+distinct subtree; an `Oriented` table holds each tree by its canonical
+form (the least source index left at every node with two children), and
+`orbit` expands a shape to the trees of all its flip patterns.
 
 Checks that read codeword lengths alone take a length vector, the
 lengths in source order; `code_lengths` reads one off a `PrefixCode`,
@@ -26,8 +30,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    TypeVar, Union)
 
 from .errors import (
     AlphabetMismatch,
@@ -332,41 +338,105 @@ class CodeTree:
 # symbol -> itself, (id(left), id(right)) -> the one shape with those
 # children, which the table keeps alive, so no keyed id is reused
 ShapeTable = Dict[object, Shape]
+T = TypeVar("T")
 
 
-def interned(tree: CodeTree, table: ShapeTable, canonical: bool = False,
-             least_of: Optional[Dict[int, int]] = None) -> Shape:
+class Oriented:
+    """A shape table that holds each tree by its canonical form: every node
+    with two children puts the one holding the least source index on its
+    left, and a node with one child keeps it on its side.  Trees that
+    differ only by swapping siblings then give one shape, one object in
+    `table`.
+
+    `get` and `setdefault` are a `ShapeTable`'s, given the key
+    (id(left), id(right)) and the node, which they orient first.
+    `setdefault` also takes a symbol, keyed on itself, and takes a node
+    only once the table holds its children; `get` hands back a node with
+    a child the table lacks as it is, since the table lacks it too.
+
+    `least` maps the id of each shape the table holds to the least source
+    index below it, and keys no other shape, since a freed tuple's id is
+    reused; so a child it does not key is one the table lacks."""
+
+    __slots__ = ("table", "least", "_index")
+
+    def __init__(self, table: ShapeTable, source: Source):
+        self.table = table
+        self.least: Dict[int, int] = {}
+        self._index = source._index
+
+    def get(self, key: Tuple[int, int], shape: Shape) -> Shape:
+        left, right = shape
+        if left is not None and right is not None:
+            least = self.least
+            low_left, low_right = least.get(id(left)), least.get(id(right))
+            if low_left is None or low_right is None:
+                return shape  # a child the table lacks: so does this node
+            if low_right < low_left:
+                return self.table.get((key[1], key[0]), (right, left))
+        return self.table.get(key, shape)
+
+    def setdefault(self, key: object, shape: Shape) -> Shape:
+        least = self.least
+        if isinstance(shape, str):
+            low = self._index[shape]
+        else:
+            left, right = shape
+            if (left is not None and right is not None
+                    and least[id(right)] < least[id(left)]):
+                key, shape = (key[1], key[0]), (right, left)
+            low = least[id(shape[0] or shape[1])]  # the left, if any
+        held = self.table.setdefault(key, shape)
+        least[id(held)] = low
+        return held
+
+
+def interned(tree: CodeTree, table: Union[ShapeTable, Oriented]) -> Shape:
     """Enter `tree`'s shapes in `table` (its own, where the table holds no
-    equal one) and return the root's.
-
-    With `canonical`, the shapes are those of the tree's canonical
-    orientation: each node with two children puts the one holding the
-    least source index on its left, and a node with one child keeps it
-    on its side.  Trees that differ only by swapping siblings then give
-    one shape, one object in the table.  Given `least_of`, it maps the
-    id of each shape entered to the least source index below it.
-    """
+    equal one) and return the root's: an `Oriented` table holds and
+    returns those of the tree's canonical form."""
     shapes, lefts, rights = tree.shapes, tree.lefts, tree.rights
-    index = tree.source._index
     held: Dict[Optional[int], Shape] = {None: None}
-    least: Dict[Optional[int], int] = {None: len(index)}  # index below
     for nid in range(len(shapes) - 1, -1, -1):  # children after parents
         shape = key = shapes[nid]
         if tree.symbols[nid] is None:
-            left, right = lefts[nid], rights[nid]
-            least[nid] = min(least[left], least[right])
-            if canonical and left is not None and least[right] < least[left]:
-                left, right = right, left
-            left, right = held[left], held[right]
+            left, right = held[lefts[nid]], held[rights[nid]]
             key = (id(left), id(right))
             if left is not shape[0] or right is not shape[1]:
                 shape = (left, right)
-        else:
-            least[nid] = index[shape]
         held[nid] = table.setdefault(key, shape)
-        if least_of is not None:
-            least_of[id(held[nid])] = least[nid]
     return held[0]
+
+
+def orbit(shape: Shape, join: Callable[[Tuple[Optional[T], Optional[T]]], T]
+          ) -> List[T]:
+    """The trees every flip pattern of a tree's `shape` gives, one per
+    pattern, each node built as `join((left, right))` from its built
+    children (None for a missing child): both child orders of each node
+    with two children, and the one order of a node with one, which has no
+    sibling pair to flip.  `tuple` as `join` builds shapes.
+
+    No recursion, so any depth works.
+    """
+    order, todo = [], [shape]
+    while todo:  # the internal nodes, pre-order, the right subtree first
+        node = todo.pop()
+        order.append(node)
+        left, right = node
+        if isinstance(left, tuple):
+            todo.append(left)
+        if isinstance(right, tuple):
+            todo.append(right)
+    done: List[List[T]] = []  # the orbits of finished subtrees
+    for node in reversed(order):  # children before parents, left first
+        left, right = node
+        right = done.pop() if isinstance(right, tuple) else [right]
+        left = done.pop() if isinstance(left, tuple) else [left]
+        nodes = list(map(join, product(left, right)))
+        if node[0] is not None and node[1] is not None:
+            nodes += map(join, product(right, left))
+        done.append(nodes)
+    return done[0]
 
 
 def tree_from_code(source: Source, code) -> CodeTree:

@@ -15,8 +15,8 @@ from .analysis import (
     is_monotone,
     strong_monotonicity_check,
 )
-from .core import (CodeTree, Shape, ShapeTable, Source, _checked_lengths,
-                   _kraft, interned, shape_label)
+from .core import (CodeTree, Oriented, Shape, Source, _checked_lengths,
+                   _kraft, interned, orbit, shape_label)
 from .errors import AlphabetTooLarge
 from .huffman import (
     _greedy_listing,
@@ -103,20 +103,15 @@ def _unordered(source: Source) -> Iterator[_Read]:
         yield code, lengths, pairs
 
 
-def _shapes(source: Source, code: _Code, flips: bool = False
-            ) -> List[Shape]:
-    """The shape of a code's tree, or with `flips` all 2^(n-1) of its
-    orientations: each join in both orders."""
+def _shape(source: Source, code: _Code) -> Shape:
+    """The shape of a code's tree, in canonical orientation."""
     symbols, stack = source.symbols, []
     for t in code:
         if t == _JOIN:
-            right, left = stack.pop(), stack.pop()
-            joined = [(a, b) for a in left for b in right]
-            if flips:
-                joined += [(b, a) for a in left for b in right]
-            stack.append(joined)
+            right = stack.pop()
+            stack[-1] = (stack[-1], right)
         else:
-            stack.append([symbols[t]])
+            stack.append(symbols[t])
     return stack[0]
 
 
@@ -127,14 +122,15 @@ def enumerate_complete_trees(source: Source) -> TreeEnumeration:
     _guard(source, ENUMERATION_MAX_SYMBOLS)
     n = len(source)
     members = (CodeTree(source, shape) for code in _codes(n)
-               for shape in _shapes(source, code, True))
+               for shape in orbit(_shape(source, code), tuple))
     return TreeEnumeration(source=source, members=members,
                            count=(1 << (n - 1)) * prod(range(1, 2 * n - 2, 2)))
 
 
 def _ordered(source: Source, codes: Iterable[_Code]) -> Set[Shape]:
     """Every ordered tree the codes' unordered trees stand for."""
-    return {shape for code in codes for shape in _shapes(source, code, True)}
+    return {shape for code in codes
+            for shape in orbit(_shape(source, code), tuple)}
 
 
 def _optimum(source: Source) -> Tuple[int, List[_Code]]:
@@ -263,9 +259,8 @@ def verify_theorems(source: Source) -> VerificationReport:
     # level; ENUMERATION_MAX_SYMBOLS = 8 bounds the depth at 7.
     huffman_trees = huffman_enumerate(source)
     huffman_shapes = {t.shape for t in huffman_trees}
-    table: ShapeTable = {}
-    huffman_forms = {interned(t, table, canonical=True)
-                     for t in huffman_trees}
+    forms = Oriented({}, source)
+    huffman_forms = {interned(t, forms) for t in huffman_trees}
     huffman_length_keys = {tuple(map(t.depth_of, source.symbols))
                            for t in huffman_trees}
 
@@ -278,11 +273,8 @@ def verify_theorems(source: Source) -> VerificationReport:
         if len(bad[name]) < 3:
             bad[name].append(counterexample)
 
-    def shape_of(code: _Code) -> Shape:
-        return _shapes(source, code)[0]
-
     def labels(name: str) -> List[str]:
-        return [shape_label(shape_of(code)) for code in bad[name]]
+        return [shape_label(_shape(source, code)) for code in bad[name]]
 
     # multiset of sibling weight pairs -> whether the backtracking search
     # lists it; the answer depends on the pairs and the root weight alone
@@ -295,7 +287,7 @@ def verify_theorems(source: Source) -> VerificationReport:
         multiset = tuple(pairs)
         if multiset not in listable:
             listable[multiset] = sibling_property_exhaustive(
-                CodeTree(source, shape_of(code))) is not None
+                CodeTree(source, _shape(source, code))) is not None
         if greedy != listable[multiset]:
             note("sibling", code)
         if greedy:
@@ -339,7 +331,8 @@ def verify_theorems(source: Source) -> VerificationReport:
         else "%d trees checked" % (sum(map(len, classes.values())) * flips)))
     # the Huffman trees are whole flip classes: each canonical form
     # stands for `flips` of them
-    same_set = ({shape_of(code) for code in sibling_codes} == huffman_forms
+    same_set = ({_shape(source, code) for code in sibling_codes}
+                == huffman_forms
                 and len(huffman_trees) == flips * len(huffman_forms))
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
@@ -387,7 +380,7 @@ def verify_theorems(source: Source) -> VerificationReport:
     row_class_checked = len(source) <= 5
     if row_class_checked:
         for codes in classes.values():
-            rep = CodeTree(source, shape_of(codes[0]))
+            rep = CodeTree(source, _shape(source, codes[0]))
             closure_row = set(closure_shapes(rep, {SwapKind.SAME_ROW})[0])
             if closure_row != _ordered(source, codes):
                 corollary_ok = False

@@ -24,22 +24,22 @@ the two children of one node; a node with one child has no sibling pair,
 so it never flips.  Every internal node has one or two children, so a
 tree with n leaves has k = n - 1 nodes with two, and its 2^k flip
 patterns give 2^k distinct trees (the highest node two patterns flip
-differently has different leaf sets on its left), one orbit, held once
-as its canonical form (`interned(..., canonical=True)`).  A prob swap of
-nodes u, v in a tree T is a prob swap of their images in any flip f(T),
-since f keeps weights and ancestry, and its result is a flip of the
-result in T: prob moves commute with flips.  So the class of T under
-{parent} or {parent, prob} is the union of the orbits of the forms that
-prob moves reach from T's form, 2^k trees each, and the search over
-forms probes prob moves alone.  Each rebuilt node is put in canonical
-orientation as it is interned (`_Oriented`), so the probe that finds a
-recorded form is one fold, as in the ordered search.
+differently has different leaf sets on its left), one orbit.  A prob
+swap of nodes u, v in a tree T is a prob swap of their images in any
+flip f(T), since f keeps weights and ancestry, and its result is a flip
+of the result in T: prob moves commute with flips.  So the class of T
+under {parent} or {parent, prob} is the union of the orbits of the forms
+that prob moves reach from T's form, 2^k trees each, and the search over
+forms probes prob moves alone.  It holds each orbit once, as its
+canonical form, in a `core.Oriented` table, which orients every node it
+is asked for, rebuilt ones included, so the probe that finds a recorded
+form is one fold, as in the ordered search.
 
 The quotient changes no answer.  It runs only when 2^k is at most the
 cap, under the cap `cap >> k`; that is decided from n before any search.
 If it closes with m forms, the class holds m * 2^k <= cap trees, so the
 ordered search would close too and record them all: the closure is the
-forms' orbits (`_flip_labels`), sorted as the ordered labels are.  If
+forms' orbits (`core.orbit`), sorted as the ordered labels are.  If
 the class holds the target's form, it is reachable, and the ordered
 search runs to find the certificate, so certificates stay shortest and
 a `Truncated` from the cap stays as it was.  If the quotient closes
@@ -69,12 +69,13 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from operator import attrgetter, itemgetter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
-from .core import CodeTree, Shape, ShapeTable, Source, interned, shape_label
+from .core import (CodeTree, Oriented, Shape, ShapeTable, Source, interned,
+                   orbit, shape_label)
 from .errors import (AlphabetMismatch, AncestryViolation, KindViolation,
                      ParseError, Truncated)
 
@@ -97,42 +98,6 @@ class SwapMove(NamedTuple):
 # id(shape) -> (shape, id of the previous shape, move from it)
 _Parents = Dict[int, Tuple[Shape, Optional[int], Optional[SwapMove]]]
 _Intern = Callable[[Tuple[int, int], Shape], Shape]  # a table's get/setdefault
-
-
-class _Oriented:
-    """Intern hooks for `_fold` and `node_swap` in a search over canonical
-    forms: each rebuilt node with two children is put in canonical
-    orientation, as `interned(..., canonical=True)` puts it, before the
-    table is asked.  `least` maps the id of each shape the table holds to
-    the least source index below it, and keys no other shape, since a
-    freed tuple's id is reused."""
-
-    __slots__ = ("table", "least")
-
-    def __init__(self, table: ShapeTable):
-        self.table = table
-        self.least: Dict[int, int] = {}
-
-    def get(self, key: Tuple[int, int], shape: Shape) -> Shape:
-        left, right = shape
-        if left is not None and right is not None:
-            least = self.least
-            low_left, low_right = least.get(id(left)), least.get(id(right))
-            if low_left is None or low_right is None:
-                return shape  # a child the table lacks: so does this node
-            if low_right < low_left:
-                return self.table.get((key[1], key[0]), (right, left))
-        return self.table.get(key, shape)
-
-    def setdefault(self, key: Tuple[int, int], shape: Shape) -> Shape:
-        left, right = shape
-        least = self.least
-        if (left is not None and right is not None
-                and least[id(right)] < least[id(left)]):
-            key, shape = (key[1], key[0]), (right, left)
-        held = self.table.setdefault(key, shape)
-        least[id(held)] = least[id(shape[0] or shape[1])]  # the left, if any
-        return held
 
 
 @dataclass(frozen=True)
@@ -286,7 +251,7 @@ def replay(tree: CodeTree, moves: Sequence[SwapMove]) -> CodeTree:
 
 
 def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
-            target: Optional[CodeTree] = None, canonical: bool = False
+            target: Optional[CodeTree] = None, oriented: bool = False
             ) -> Tuple[_Parents, Optional[List[SwapMove]], bool]:
     """Breadth-first search from `tree`, stopping once `target` is seen.
 
@@ -299,23 +264,18 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
     `target` (None if not reached), and whether the cap skipped a
     neighbour.  A closure returns at the first neighbour the cap skips.
 
-    With `canonical`, the states are the canonical forms of the trees,
+    With `oriented`, the states are the canonical forms of the trees,
     starting from `tree`'s, and any search returns at the first skip.
     """
     if cap < 1:  # the start is always recorded
         raise ValueError("closure cap must be at least 1, got %d" % cap)
     table: ShapeTable = {}
-    if canonical:
-        hooks = _Oriented(table)
-        probe, enter = hooks.get, hooks.setdefault
-        tree = CodeTree(tree.source,
-                        interned(tree, table, True, hooks.least))
-        goal = None if target is None else interned(target, table, True,
-                                                    hooks.least)
-    else:
-        probe, enter = table.get, table.setdefault
-        interned(tree, table)  # the table is empty, so these are tree's own
-        goal = None if target is None else interned(target, table)
+    hooks = Oriented(table, tree.source) if oriented else table
+    probe, enter = hooks.get, hooks.setdefault
+    shape = interned(tree, hooks)  # into an empty table: tree's own shapes
+    if shape is not tree.shape:  # but for the nodes a form flips
+        tree = CodeTree(tree.source, shape)
+    goal = None if target is None else interned(target, hooks)
     parent: _Parents = {id(tree.shape): (tree.shape, None, None)}
     if goal is tree.shape:
         return parent, [], False
@@ -337,7 +297,7 @@ def _search(tree: CodeTree, kinds: Set[SwapKind], cap: int,
             if id(shape) in parent:
                 continue
             if shape is not goal and len(parent) >= cap:
-                if goal is None or canonical:  # nothing more to record
+                if goal is None or oriented:  # nothing more to record
                     return parent, None, True
                 truncated = True
                 continue
@@ -400,42 +360,11 @@ def _row_labels(tree: CodeTree) -> List[str]:
     return ["(%s,%s)" % nodes for nodes in below]
 
 
-def _flip_labels(shape: Shape) -> List[str]:
-    """The labels of the trees every flip pattern of `shape` gives, unsorted.
-
-    Post-order over the shape with an explicit stack.  A finished subtree
-    is the labels of its orientations, held as (opening pieces in reverse,
-    labels below, closing pieces), so a chain of one-child nodes, which
-    do not flip, wraps each label once rather than once per node.
-    """
-    done: List[Tuple[List[str], List[str], List[str]]] = []
-    todo = [(shape, False)]
-    while todo:
-        node, ready = todo.pop()
-        if isinstance(node, str):
-            done.append(([], [node], []))
-        elif not ready:
-            todo.append((node, True))
-            todo.extend((child, False) for child in node[::-1]
-                        if child is not None)  # the left finishes first
-        elif node[0] is None or node[1] is None:
-            opening, _, closing = done[-1]
-            opening.append("(" if node[1] is None else "(_,")
-            closing.append(",_)" if node[1] is None else ")")
-        else:
-            right, left = _unwrapped(done.pop()), _unwrapped(done.pop())
-            done.append(([], ["(%s,%s)" % pair for pair in product(left, right)]
-                         + ["(%s,%s)" % pair for pair in product(right, left)],
-                         []))
-    return _unwrapped(done[0])
-
-
-def _unwrapped(item: Tuple[List[str], List[str], List[str]]) -> List[str]:
-    opening, labels, closing = item
-    if not opening:
-        return labels
-    head, tail = "".join(reversed(opening)), "".join(closing)
-    return [head + label + tail for label in labels]
+def _join_labels(pair: Tuple[Optional[str], Optional[str]]) -> str:
+    """A node's label from its children's, for `orbit`."""
+    left, right = pair
+    return "(%s,%s)" % ("_" if left is None else left,
+                        "_" if right is None else right)
 
 
 def closure_shapes(tree: CodeTree, kinds: Set[SwapKind],
@@ -457,11 +386,11 @@ def swap_closure(source: Source, tree: CodeTree, kinds: Set[SwapKind],
     forms = _form_cap(tree, kinds, cap)
     if forms:
         parent, _, truncated = _search(tree, kinds - {SwapKind.SAME_PARENT},
-                                       forms, canonical=True)
+                                       forms, oriented=True)
         if not truncated:  # else the ordered search decides, as it did
             return ClosureResult(tuple(sorted(
                 label for shape, _, _ in parent.values()
-                for label in _flip_labels(shape))), False)
+                for label in orbit(shape, _join_labels))), False)
     shapes, truncated = closure_shapes(tree, kinds, cap)
     return ClosureResult(tuple(sorted(map(shape_label, shapes))), truncated)
 
@@ -481,7 +410,7 @@ def swap_equivalent(source: Source, t1: CodeTree, t2: CodeTree,
     forms = _form_cap(t1, kinds, cap)
     if forms:  # a reachable target's certificate is the ordered search's
         _, path, truncated = _search(t1, kinds - {SwapKind.SAME_PARENT},
-                                     forms, t2, canonical=True)
+                                     forms, t2, oriented=True)
         if path is None and not truncated:
             return None
     _, path, truncated = _search(t1, kinds, cap, t2)

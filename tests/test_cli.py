@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -96,6 +97,18 @@ class TestHuffmanCommand:
         out = capsys.readouterr().out
         assert out.startswith("digraph")
         assert '[label="0"]' in out and '[label="1"]' in out
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        # unescaped, the quote would end the label early, and the trailing
+        # backslash would make the line break after it a backslash and an n
+        path = tmp_path / "odd.src"
+        path.write_text('a"b 1/2\nc\\ 1/2\n')
+        assert main(["huffman", str(path), "--dot"]) == 0
+        box = r'^  n\d+ \[shape=box label="((?:[^"\\]|\\.)*)"\];$'
+        labels = re.findall(box, capsys.readouterr().out, re.M)
+        unescaped = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+        assert sorted(re.sub(r"\\.", lambda m: unescaped[m.group()], label)
+                      for label in labels) == ['a"b\n1/2', "c\\\n1/2"]
 
     def test_all_and_dot_is_input_error(self, capsys):
         # --dot is not dropped in silence: no tree is listed

@@ -21,7 +21,8 @@ from prefixcodes import (
     enumerate_complete_trees,
     tree_from_code,
 )
-from prefixcodes.core import interned
+from prefixcodes import swaps
+from prefixcodes.core import Oriented, interned, orbit, shape_label
 from prefixcodes.oracle import strong_monotonicity_scan
 from prefixcodes.swaps import closure_shapes
 from prefixcodes.errors import (
@@ -202,10 +203,6 @@ def _is_canonical(source, shape):
                if child is not None)
 
 
-def _canonical(tree, table):
-    return interned(tree, table, canonical=True)
-
-
 class TestCanonicalOrientation:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_one_form_per_flip_class(self, n):
@@ -214,9 +211,9 @@ class TestCanonicalOrientation:
         # and trees that differ otherwise do not
         src = Source.from_weights(("s%d" % i, 1) for i in range(n))
         trees = list(enumerate_complete_trees(src).members)
-        table, forms = {}, {}  # unordered tree -> its form
+        table, forms = Oriented({}, src), {}  # unordered tree -> its form
         for tree in trees:
-            form = _canonical(tree, table)
+            form = interned(tree, table)
             assert forms.setdefault(_unordered(tree.shape), form) is form
             assert _unordered(form) == _unordered(tree.shape)
             assert _is_canonical(src, form)
@@ -236,30 +233,30 @@ class TestCanonicalOrientation:
         shapes, truncated = closure_shapes(CodeTree(src, nodes[0]),
                                            {SwapKind.SAME_PARENT})
         assert not truncated and len(shapes) == 1 << (n - 1)
-        table = {}
-        forms = {id(_canonical(CodeTree(src, shape), table))
+        table = Oriented({}, src)
+        forms = {id(interned(CodeTree(src, shape), table))
                  for shape in shapes}
         assert len(forms) == 1
-        form = _canonical(CodeTree(src, shapes[-1]), table)
+        form = interned(CodeTree(src, shapes[-1]), table)
         assert _is_canonical(src, form)
 
     def test_idempotent(self):
         for tree in random_trees():  # complete and incomplete
-            table = {}
-            form = _canonical(tree, table)
+            table = Oriented({}, tree.source)
+            form = interned(tree, table)
             again = CodeTree(tree.source, form)
-            assert _canonical(again, table) is form
-            assert _canonical(again, {}) == form
+            assert interned(again, table) is form
+            assert interned(again, Oriented({}, tree.source)) == form
             assert _unordered(form) == _unordered(tree.shape)
 
     def test_equal_forms_are_one_object(self, ex4):
         tree = tree_from_code(ex4, load_code("ex4_h1.code"))
         flipped = CodeTree(ex4, (tree.shape[1], tree.shape[0]))
-        table = {}
-        assert _canonical(tree, table) is _canonical(flipped, table)
-        apart = _canonical(flipped, {})
-        assert apart == _canonical(tree, table)
-        assert apart is not _canonical(tree, table)
+        table = Oriented({}, ex4)
+        assert interned(tree, table) is interned(flipped, table)
+        apart = interned(flipped, Oriented({}, ex4))
+        assert apart == interned(tree, table)
+        assert apart is not interned(tree, table)
 
     @pytest.mark.parametrize("shape, form", [
         ((("c", None), ("b", "a")), (("a", "b"), ("c", None))),
@@ -268,7 +265,73 @@ class TestCanonicalOrientation:
     ])
     def test_a_node_with_one_child_keeps_its_side(self, shape, form):
         src = Source.from_weights([("a", 1), ("b", 1), ("c", 1)])
-        assert _canonical(CodeTree(src, shape), {}) == form
+        assert interned(CodeTree(src, shape), Oriented({}, src)) == form
+
+
+def _wrapped(rng, shape):
+    """`shape` below 0 to 2 one-child nodes, each on a random side."""
+    for _ in range(rng.randint(0, 2)):
+        shape = (shape, None) if rng.random() < 0.5 else (None, shape)
+    return shape
+
+
+class TestOrbit:
+    @staticmethod
+    def _orbit(tree, n):
+        """Both joins' orbits of `tree`: one tree per flip pattern, and the
+        labels the label join renders are those of the tuples."""
+        labels = orbit(tree.shape, swaps._join_labels)
+        shapes = orbit(tree.shape, tuple)
+        assert labels == [shape_label(shape) for shape in shapes]
+        assert len(set(labels)) == len(labels) == 1 << (n - 1)
+        return shapes
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_tree_is_its_parent_closure(self, n):
+        src = Source.from_weights(("s%d" % i, 1) for i in range(n))
+        classes = {}  # shape -> the ordered {parent} closure holding it
+        for tree in enumerate_complete_trees(src).members:
+            shapes = self._orbit(tree, n)
+            if tree.shape not in classes:
+                closure, truncated = closure_shapes(tree,
+                                                    {SwapKind.SAME_PARENT})
+                assert not truncated
+                classes.update(dict.fromkeys(closure, set(closure)))
+            assert set(shapes) == classes[tree.shape]
+
+    def test_seeded_incomplete_trees(self):
+        # one-child nodes never flip, whichever side their child is on
+        rng, sides = random.Random(27), set()
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            src = Source.from_weights(("s%d" % i, rng.randint(1, 4))
+                                      for i in range(n))
+            nodes = [_wrapped(rng, symbol) for symbol in src.symbols]
+            while len(nodes) > 1:
+                left = nodes.pop(rng.randrange(len(nodes)))
+                right = nodes.pop(rng.randrange(len(nodes)))
+                nodes.append(_wrapped(rng, (left, right)))
+            tree = CodeTree(src, nodes[0])
+            sides.update("left" if left is None else "right"
+                         for left, right in zip(tree.lefts, tree.rights)
+                         if (left is None) != (right is None))
+            closure, truncated = closure_shapes(tree, {SwapKind.SAME_PARENT})
+            assert not truncated
+            assert set(self._orbit(tree, n)) == set(closure)
+        assert sides == {"left", "right"}
+
+    def test_deep_chain(self):
+        # 1,100 one-child nodes, their child on alternating sides, above
+        # two leaves: nothing may recurse over the shape
+        src = Source.from_weights([("a", 1), ("b", 2), ("c", 1)])
+        chain = "0" + "01" * 550
+        tree = tree_from_code(src, {"c": "1", "a": chain + "0",
+                                    "b": chain + "1"})
+        shapes = self._orbit(tree, 3)
+        closure, truncated = closure_shapes(tree, {SwapKind.SAME_PARENT})
+        assert not truncated
+        assert sorted(map(shape_label, shapes)) == sorted(
+            map(shape_label, closure))
 
 
 class TestTreeFromCode:

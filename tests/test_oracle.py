@@ -26,7 +26,8 @@ from prefixcodes import (
     verify_theorems,
 )
 from prefixcodes import oracle
-from prefixcodes.core import code_from_tree, interned, kraft_sum, shape_label
+from prefixcodes.core import (Oriented, code_from_tree, interned, kraft_sum,
+                              shape_label)
 from prefixcodes.huffman import _sibling_pairs
 from prefixcodes.errors import AlphabetTooLarge
 from prefixcodes.oracle import strong_monotonicity_scan
@@ -351,9 +352,9 @@ class TestVerifyDetectsCorruptedInputs:
         # the search ran first on the first tree read, which is named in
         # its canonical orientation
         first_tree = calls[0]
-        assert first_tree.shape == oracle._shapes(
-            ex3, next(oracle._codes(len(ex3))))[0]
-        assert interned(first_tree, {}, canonical=True) == first_tree.shape
+        assert first_tree.shape == oracle._shape(
+            ex3, next(oracle._codes(len(ex3))))
+        assert interned(first_tree, Oriented({}, ex3)) == first_tree.shape
         detail = checks["sibling-property-iff-huffman"].detail
         assert detail.startswith("greedy/backtracking disagreements: [%s"
                                  % (repr(first_tree.label) if disagree
@@ -620,11 +621,10 @@ def test_codes_are_the_canonical_forms_of_every_tree(n):
     codes = list(oracle._codes(n))
     shapes = [_fill(depths, perm) for depths in _templates(n)
               for perm in permutations(src.symbols)]
-    table = {}
-    forms = {interned(CodeTree(src, shape), table, canonical=True)
-             for shape in shapes}
+    table = Oriented({}, src)
+    forms = {interned(CodeTree(src, shape), table) for shape in shapes}
     assert len(codes) == len(forms) == len(shapes) >> (n - 1)
-    assert {oracle._shapes(src, code)[0] for code in codes} == forms
+    assert {oracle._shape(src, code) for code in codes} == forms
     assert oracle._ordered(src, codes) == set(shapes)
 
 

@@ -3,6 +3,7 @@ that builds a tree for every neighbour and keys on its label, as the
 search once did."""
 
 import random
+import re
 from collections import Counter, deque
 from itertools import combinations
 from math import factorial
@@ -25,7 +26,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes import swaps
-from prefixcodes.core import CodeTree, interned, shape_label
+from prefixcodes.core import CodeTree, Oriented, interned, shape_label
 from prefixcodes.errors import AncestryViolation, KindViolation, Truncated
 from prefixcodes.swaps import SwapMove, _fold, closure_shapes, swapped_shape
 from conftest import (caterpillar, catalan, load_tree, random_trees,
@@ -367,15 +368,15 @@ TIED = {2: (1, 1), 3: (1, 1, 1), 4: (1, 1, 2, 2), 5: (1, 1, 2, 2, 3)}
 
 
 def _spy_searches(monkeypatch):
-    """Log each search `swaps._search` starts as [cap, canonical, end]:
+    """Log each search `swaps._search` starts as [cap, oriented, end]:
     end is "closed", "reached" or "truncated", or None if it raised."""
     log = []
     search = swaps._search
 
-    def spy(tree, kinds, cap, target=None, canonical=False):
-        entry = [cap, canonical, None]
+    def spy(tree, kinds, cap, target=None, oriented=False):
+        entry = [cap, oriented, None]
         log.append(entry)
-        found = search(tree, kinds, cap, target, canonical)
+        found = search(tree, kinds, cap, target, oriented)
         _, path, truncated = found
         entry[2] = ("truncated" if truncated else
                     "closed" if path is None else "reached")
@@ -548,6 +549,57 @@ def test_deep_incomplete_chain_goes_through_the_quotient(monkeypatch):
     assert swap_equivalent(source, start, tree("a", "c", "b"),
                            {PARENT}) is None
     assert _quotient_ends(searches) == {"closed": 2, "reached": 1}
+
+
+def _spy_oriented(monkeypatch):
+    """Keep each `Oriented` table a search makes."""
+    made = []
+
+    def spy(table, source):
+        made.append(Oriented(table, source))
+        return made[-1]
+
+    monkeypatch.setattr(swaps, "Oriented", spy)
+    return made
+
+
+def test_oriented_least_keys_exactly_the_shapes_its_table_holds(monkeypatch):
+    # a freed tuple's id is reused, so `least` may key only the shapes the
+    # table keeps alive; it keys each of them, with its least index
+    # (cap 64 leaves the quotient room for two forms of 2^5 trees, so it
+    # truncates)
+    made, trees = _spy_oriented(monkeypatch), _six_symbol_sample()[::3]
+    rng, caps = random.Random(27), (64, 10 ** 6)
+    for kinds in QUOTIENT_KINDS:
+        for cap in caps:
+            for tree in trees:
+                swap_closure(tree.source, tree, kinds, cap)
+                _outcome(lambda: swap_equivalent(
+                    tree.source, tree, _walk(rng, tree, {PARENT, PROB}, 2),
+                    kinds, cap))
+    assert len(made) == len(QUOTIENT_KINDS) * len(caps) * len(trees) * 2
+    for hooks in made:
+        index = hooks._index
+        assert set(hooks.least) == {id(s) for s in hooks.table.values()}
+        assert all(hooks.least[id(shape)] == min(
+            index[symbol] for symbol in re.findall(r"[^(),_]+",
+                                                    shape_label(shape)))
+            for shape in hooks.table.values())
+
+
+def test_oriented_get_of_an_unrecorded_neighbour_changes_nothing(ex4):
+    _, h1 = load_tree("ex4.src", "ex4_h1.code")
+    hooks = Oriented({}, ex4)
+    form = CodeTree(ex4, interned(h1, hooks))
+    table = {key: id(shape) for key, shape in hooks.table.items()}
+    recorded, least = set(table.values()), dict(hooks.least)
+    unrecorded = 0
+    for move in available_swaps(form, set(SwapKind)):
+        shape = _fold(form, move.u, move.v, hooks.get)
+        unrecorded += id(shape) not in recorded
+        assert {key: id(s) for key, s in hooks.table.items()} == table
+        assert hooks.least == least
+    assert unrecorded
 
 
 def test_a_capped_quotient_leaves_the_question_to_the_ordered_search(
