@@ -65,6 +65,9 @@ class Source:
     def from_weights(cls, entries: Iterable[Tuple[str, int]]) -> "Source":
         """Build a source from positive integer weights, normalized by their sum."""
         pairs = list(entries)
+        for sym, w in pairs:  # before any arithmetic: no float, no bool
+            if isinstance(w, bool) or not isinstance(w, int):
+                raise InvalidSource("weight of %r is not an integer" % (sym,))
         total = sum(w for _, w in pairs)
         if total <= 0:
             raise InvalidSource("weights must be positive")
@@ -135,15 +138,12 @@ class PrefixCode:
     """A prefix-free symbol -> bit-string map."""
 
     def __init__(self, words):
-        if isinstance(words, Mapping):
-            pairs = list(words.items())
-        else:
-            pairs = list(words)
         table = {}
-        for sym, word in pairs:
+        for sym, word in (words.items() if isinstance(words, Mapping)
+                          else words):
             if sym in table:
                 raise DuplicateSymbol("duplicate symbol %r" % sym)
-            if not word or set(word) - {"0", "1"}:
+            if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
                 raise PrefixViolation(
                     "codeword for %r must be a nonempty 0/1 string" % sym)
             table[sym] = word

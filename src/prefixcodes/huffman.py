@@ -1,4 +1,4 @@
-"""Huffman construction, tie-break enumeration, and the sibling property."""
+"""Huffman construction, enumeration over flip orbits, the sibling property."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from .core import CodeTree, ShapeTable, Source, shape_label
+from .core import CodeTree, Oriented, ShapeTable, Source, orbit, shape_label
 from .errors import CapExceeded, NotComplete, NotOptimal
 
 DEFAULT_ENUMERATE_CAP = 100_000
@@ -74,22 +74,22 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                       ) -> Tuple[CodeTree, ...]:
     """Every tree some run of the merge loop can build, deduplicated.
 
-    Branches at each merge step over (a) every unordered node pair whose
-    probabilities can occupy the two smallest positions of the current
-    probability multiset and (b) both left/right child orders.  Results
-    are returned sorted by canonical label.  Raises CapExceeded as soon
-    as more than `cap` distinct trees are found, and ValueError for a cap
-    below 1.
+    Branches at each merge step over every unordered node pair whose
+    weights can be the two least, and enters the merge in canonical
+    orientation. Either child order is a run too, so the trees are the
+    flip orbits (2^(n-1) trees each) of the forms found, sorted by label.
+    Raises CapExceeded once the forms exceed `cap` trees, before any tree
+    is built, and ValueError for a cap below 1.
     """
     if cap < 1:  # every source has at least one Huffman tree
         raise ValueError("Huffman tree cap must be at least 1, got %d" % cap)
-    table: ShapeTable = {}  # lives for this call, so every id names a shape
-    start = tuple(sorted(zip(map(id, source.symbols), source.weights,
-                             source.symbols)))
+    forms = Oriented({}, source)  # lives for this call: every id names a form
+    start = tuple(sorted((id(forms.setdefault(sym, sym)), w, sym)
+                         for sym, w in zip(source.symbols, source.weights)))
 
     def successors(state):
-        # state: tuple of (id(shape), weight, shape), sorted by id; a
-        # state's ids are distinct, so no comparison reaches a shape
+        # state: tuple of (id(form), weight, form), sorted by id; a
+        # state's ids are distinct, so no comparison reaches a form
         least = second = None  # the two least weights, in one pass
         for _, w, _ in state:
             if least is None or w < least:
@@ -103,35 +103,39 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
             pairs = (sorted((lows[0], j)) for j, t in enumerate(state)
                      if t[1] == second)
         for i, j in pairs:
-            for left, right in ((state[i], state[j]), (state[j], state[i])):
-                shape = table.setdefault((left[0], right[0]),
-                                         (left[2], right[2]))
-                nxt = list(state)
-                del nxt[j], nxt[i]
-                insort(nxt, (id(shape), least + second, shape))
-                yield tuple(nxt)
+            form = forms.setdefault((state[i][0], state[j][0]),
+                                    (state[i][2], state[j][2]))
+            nxt = list(state)
+            del nxt[j], nxt[i]
+            insort(nxt, (id(form), least + second, form))
+            yield tuple(nxt)
 
-    # no shape repeats: states expand once; a shape's root pair fixes its state
+    # no form repeats: states expand once; a form's root pair fixes its state
     seen = set()  # id keys of pushed states; `start` is no one's successor
     stack = [start]
-    shapes = []
+    found, flips = [], 2 ** (len(source) - 1)  # each form's tree count
     while stack:
         for nxt in successors(stack.pop()):
             if len(nxt) == 1:
-                shapes.append(nxt[0][2])
-                if len(shapes) > cap:
+                found.append(nxt[0][2])
+                if len(found) * flips > cap:
                     raise CapExceeded(
                         "at least %d distinct Huffman trees exceed cap %d"
-                        % (len(shapes), cap))
+                        % (cap + 1, cap))
             elif (k := tuple(i for i, _, _ in nxt)) not in seen:
                 seen.add(k)
                 stack.append(nxt)
+    table: ShapeTable = {}  # one shape per distinct subtree, over all trees
+    shapes = [s for f in found for s in orbit(
+        f, lambda pair: table.setdefault((id(pair[0]), id(pair[1])), pair))]
     return tuple(CodeTree(source, s) for s in sorted(shapes, key=shape_label))
 
 
 def _sibling_pairs(tree: CodeTree) -> List[Tuple[int, int, int, int]]:
     """(hi weight, lo weight, hi id, lo id) for the two children of each
     internal node of a complete tree, hi >= lo by probability."""
+    if not tree.is_complete:
+        raise NotComplete("a non-root node lacks a sibling")
     weights, pairs = tree.weights, []
     for left, right in zip(tree.lefts, tree.rights):
         if left is not None:  # complete: an internal node has both
@@ -149,8 +153,6 @@ def sibling_property(tree: CodeTree) -> Optional[SiblingListing]:
     search in `sibling_property_exhaustive` cross-checks this on small
     trees.
     """
-    if not tree.is_complete:
-        raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
     if not _greedy_listing(pairs):
         return None
@@ -176,8 +178,6 @@ def sibling_property_exhaustive(tree: CodeTree) -> Optional[SiblingListing]:
     Whether a partial listing extends depends only on the weights of the
     pairs left, so each level tries one pair per (hi, lo) weight pair.
     """
-    if not tree.is_complete:
-        raise NotComplete("a non-root node lacks a sibling")
     pairs = _sibling_pairs(tree)
     count, top = len(pairs), tree.weights[0]  # the root outweighs any pair
     same, seen = [], {}  # same[k]: bits of the pairs before k with k's weights
@@ -219,9 +219,12 @@ def row_sorted(tree: CodeTree) -> CodeTree:
 
     Working upward from the bottom row, each row's nodes (with their
     subtrees) are stably reordered by probability.  Leaf depths are kept,
-    so on a complete tree the result is a Huffman tree iff the input is
-    optimal (a Huffman tree is optimal; the paper proves the converse).
+    so the result is a Huffman tree iff the input is optimal (a Huffman
+    tree is optimal; the paper proves the converse).  Raises NotComplete
+    on an incomplete tree, which has a node with no sibling to pair.
     """
+    if not tree.is_complete:
+        raise NotComplete("a non-root node lacks a sibling")
     below = []
     for row in reversed(tree.rows()):
         feed = iter(below)  # (weight, shape) of the row below, reordered

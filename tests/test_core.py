@@ -84,6 +84,13 @@ class TestSource:
                 make()
         with pytest.raises(InvalidSource, match="^weights must be positive$"):
             Source.from_weights([("x", 0), ("y", 0)])
+        # checked before any arithmetic, so no TypeError from `gcd`
+        for weights in ([("a", 1.5), ("b", 2.5)], [("a", True), ("b", 1)],
+                        [("a", 1), ("b", Fraction(2))]):
+            bad = next(sym for sym, w in weights if type(w) is not int)
+            with pytest.raises(InvalidSource, match="^weight of '%s' is not "
+                               "an integer$" % bad):
+                Source.from_weights(weights)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidSource):
@@ -133,6 +140,11 @@ class TestPrefixCode:
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol, match="^duplicate symbol 'a'$"):
             PrefixCode([("a", "0"), ("a", "1")])
+
+    def test_non_string_word_rejected(self):
+        with pytest.raises(PrefixViolation, match="^codeword for 'a' must be "
+                           "a nonempty 0/1 string$"):
+            PrefixCode({"a": 10, "b": "0"})
 
     def test_hash_and_repr(self):
         code = PrefixCode({"a": "0", "b": "10", "c": "11"})

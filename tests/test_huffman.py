@@ -19,7 +19,8 @@ from prefixcodes import (
     sibling_property_exhaustive,
     tree_from_code,
 )
-from prefixcodes.core import shape_label
+from prefixcodes import huffman
+from prefixcodes.core import Oriented, interned, orbit, shape_label
 from prefixcodes.huffman import row_sorted
 from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from conftest import load_code, load_tree
@@ -180,6 +181,50 @@ class TestEnumerate:
         labels = {shape_label(shape) for shape in shapes.values()}
         assert len(shapes) == len(labels) == 37_872
 
+    @pytest.mark.parametrize("n, entered", [(10, 780), (16, 462)])
+    def test_cap_trips_on_forms_before_any_tree(self, monkeypatch, n,
+                                                entered):
+        # every leaf and merge is entered once, oriented, through the
+        # `Oriented` table, and the guard counts 2^(n-1) trees per form,
+        # so it trips after a few forms and builds no tree
+        calls = []
+
+        class Counted(Oriented):
+            def setdefault(self, key, shape):
+                calls.append(shape)
+                return super().setdefault(key, shape)
+
+        def no_tree(*args):
+            raise AssertionError("a tree was built before the cap tripped")
+
+        monkeypatch.setattr(huffman, "Oriented", Counted)
+        monkeypatch.setattr(huffman, "CodeTree", no_tree)
+        src = Source.from_weights([("s%d" % i, 1) for i in range(n)])
+        with pytest.raises(CapExceeded, match="^at least 100001 distinct "
+                           "Huffman trees exceed cap 100000$"):
+            huffman_enumerate(src)
+        assert calls[:n] == list(src.symbols)
+        assert len(calls) == entered
+
+    def test_trees_are_whole_flip_orbits(self, monkeypatch, ex1, ex2, ex3,
+                                         ex4, ex5):
+        # each canonical form stands for all 2^(n-1) of its orientations,
+        # and the forms the search expands are its trees' canonical forms
+        expanded = []
+
+        def recorded(form, join):
+            expanded.append(shape_label(form))
+            return orbit(form, join)
+
+        monkeypatch.setattr(huffman, "orbit", recorded)
+        for src in (ex1, ex2, ex3, ex4, ex5):
+            expanded.clear()
+            trees = huffman_enumerate(src)
+            table = Oriented({}, src)
+            forms = {shape_label(interned(tree, table)) for tree in trees}
+            assert len(forms) * 2 ** (len(src) - 1) == len(trees), src
+            assert sorted(expanded) == sorted(forms), src
+
     def test_members_all_pass_sibling_property(self, ex4, ex5):
         for src in (ex4, ex5):
             for tree in huffman_enumerate(src):
@@ -278,6 +323,13 @@ class TestHuffmanize:
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
             huffmanize(tree)
+
+    def test_row_sorted_rejects_non_complete(self):
+        src = Source.from_weights([("a", 2), ("b", 1), ("c", 1)])
+        tree = tree_from_code(src, {"a": "0", "b": "10", "c": "110"})
+        with pytest.raises(NotComplete,
+                           match="^a non-root node lacks a sibling$"):
+            row_sorted(tree)
 
 
 class TestTreeChecksReadTheTreesSource:
