@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -24,7 +25,7 @@ from .core import (
     tree_from_code,
 )
 from .errors import ConsistencyError, InvalidWitness
-from .huffman import huffman_build, is_huffman, row_sorted
+from .huffman import huffman_length, is_huffman, row_sorted
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,30 @@ def is_monotone(tree: CodeTree) -> bool:
     return True
 
 
-def _least_keys(lengths: Sequence[int], weights: Sequence[int]
+def _least_keys(lengths: Sequence[int], keys: Sequence[int]
                 ) -> Dict[int, int]:
-    """k -> the least sum, over the subsets with Kraft sum 2^-k, of the
-    keys w_i*2^(n+1) - 2^(n-i).  One package-merge pass (Larmore and
-    Hirschberg 1990) serves every k: from the deepest row up, row k's
-    cheapest entry is the answer at k, and the entries pair off,
-    cheapest first, into packages for the row above, the same for all k.
+    """k -> the least sum of `keys` over the subsets with Kraft sum 2^-k.
+    One package-merge pass (Larmore and Hirschberg 1990) serves every k:
+    from the deepest row up, row k's cheapest entry is the answer at k,
+    and the entries pair off, cheapest first, into packages for the row
+    above, the same for all k.  Plain weights give the least weights;
+    `_tie_keys` also picks the subset that reaches them."""
+    rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
+    for ln, key in zip(lengths, keys):
+        rows[ln].append(key)
+    least, carry = {}, []
+    for d in range(len(rows) - 1, -1, -1):
+        row = rows[d] + carry
+        if row:
+            row.sort()
+            least[d] = row[0]
+        carry = list(map(add, row[::2], row[1::2]))
+    return least
+
+
+def _tie_keys(weights: Sequence[int]) -> List[int]:
+    """The keys w_i*2^(n+1) - 2^(n-i), whose least sum at each exponent
+    names one subset, read back by `_subset`.
 
     A subset's key sum is W*2^(n+1) - b, with W its weight and b > 0 its
     bonuses 2^(n-i); all n bonuses sum to less than 2^(n+1).  So the
@@ -87,16 +105,7 @@ def _least_keys(lengths: Sequence[int], weights: Sequence[int]
     extension (a proper superset has a larger Kraft sum).
     """
     n = len(weights)
-    rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
-    for i, (ln, w) in enumerate(zip(lengths, weights)):
-        rows[ln].append((w << n + 1) - (1 << n - i))
-    least, carry = {}, []
-    for d in range(len(rows) - 1, -1, -1):
-        row = sorted(rows[d] + carry)
-        if row:
-            least[d] = row[0]
-        carry = [a + b for a, b in zip(row[::2], row[1::2])]
-    return least
+    return [(w << n + 1) - (1 << n - i) for i, w in enumerate(weights)]
 
 
 def _subset(lengths: Sequence[int], weights: Sequence[int], k: int,
@@ -119,29 +128,28 @@ def strong_monotonicity_check(source: Source, lengths: Sequence[int]
 
     The code is strongly monotone iff, for all exponents i < j that
     Kraft sums of symbol subsets reach, the least P(A) with K(A) = 2^-i
-    is at least the greatest P(B) with K(B) = 2^-j.  One keyed
-    package-merge pass per sign gives both extremes at every exponent.
-    At the first violating (i, j), in increasing i then j, the witness
-    sets are the first sorted index tuples that reach them, as in
+    is at least the greatest P(B) with K(B) = 2^-j.  One package-merge
+    pass per sign over the plain weights gives both extremes at every
+    exponent.  At the first violating (i, j), in increasing i then j, one
+    keyed pass per sign finds the witness sets, the first sorted index
+    tuples that reach the extremes, as in
     `oracle.strong_monotonicity_scan`, the 2^n subset scan this answer
     must match.
     """
     symbols = source.symbols
     lengths = _checked_lengths(source, lengths)
     weights = source.weights  # probabilities as integers over den
-    shift = len(weights) + 1
-    lo_keys = _least_keys(lengths, weights)
-    # the greatest weights, as the least of the negated ones
-    negated = [-w for w in weights]
-    hi_keys = _least_keys(lengths, negated)
-    lo = {k: -(-key >> shift) for k, key in lo_keys.items()}
-    hi = {k: -key >> shift for k, key in hi_keys.items()}
+    negated = [-w for w in weights]  # the greatest, as the least negated
+    lo = _least_keys(lengths, weights)
+    hi = {k: -w for k, w in _least_keys(lengths, negated).items()}
     exponents = sorted(lo)
     for a, i in enumerate(exponents):
         j = next((j for j in exponents[a + 1:] if hi[j] > lo[i]), None)
-        if j is not None:
-            A = _subset(lengths, weights, i, lo_keys[i])
-            B = _subset(lengths, negated, j, hi_keys[j])
+        if j is not None:  # only now the witness sets: the keyed passes
+            A = _subset(lengths, weights, i,
+                        _least_keys(lengths, _tie_keys(weights))[i])
+            B = _subset(lengths, negated, j,
+                        _least_keys(lengths, _tie_keys(negated))[j])
             return MonotonicityWitness(A=tuple(symbols[t] for t in A),
                                        B=tuple(symbols[t] for t in B),
                                        i=i, j=j)
@@ -150,8 +158,7 @@ def strong_monotonicity_check(source: Source, lengths: Sequence[int]
 
 def is_optimal(source: Source, lengths: Sequence[int]) -> bool:
     """Exact comparison against the Huffman expected length."""
-    return (expected_length(source, lengths)
-            == huffman_build(source).expected_length())
+    return expected_length(source, lengths) == huffman_length(source)
 
 
 def improve_from_witness(source: Source, lengths: Sequence[int],
@@ -194,7 +201,7 @@ def classify(source: Source, code: PrefixCode) -> PropertyReport:
     witness = strong_monotonicity_check(source, lengths)
     strongly_monotone = witness is None
     exp_len = expected_length(source, lengths)
-    huffman_len = huffman_build(source).expected_length()
+    huffman_len = huffman_length(source)
     optimal = exp_len == huffman_len
     huffman_member = is_huffman(tree)
     h = row_sorted(tree) if complete else None  # the certificate

@@ -447,20 +447,17 @@ def tree_from_code(source: Source, code) -> CodeTree:
         raise AlphabetMismatch(
             "code covers %s, source has %s" %
             (sorted(code.words), sorted(source.symbols)))
-    trie: dict = {}
+    leaves: Dict[int, Dict[str, Shape]] = {}  # length -> {word: symbol}
     for sym, word in code.words.items():
-        cur = trie
-        for bit in word:
-            cur = cur.setdefault(bit, {})
-        cur["shape"] = sym
-    nodes = [trie]
-    for node in nodes:  # breadth-first: the list grows while it is read
-        nodes.extend(node[bit] for bit in "01" if bit in node)
-    for node in reversed(nodes):  # children before their parents
-        if "shape" not in node:
-            node["shape"] = tuple(node[bit]["shape"] if bit in node else None
-                                  for bit in "01")
-    return CodeTree(source, trie["shape"])
+        leaves.setdefault(len(word), {})[word] = sym
+    level: Dict[str, Shape] = {}  # word -> shape of the nodes at one depth
+    for depth in range(max(leaves), 0, -1):  # prefix-free: no leaf has kids
+        level.update(leaves.get(depth, {}))
+        pairs: Dict[str, list] = {}
+        for word, shape in level.items():
+            pairs.setdefault(word[:-1], [None, None])[word[-1] == "1"] = shape
+        level = {word: tuple(pair) for word, pair in pairs.items()}
+    return CodeTree(source, level[""])
 
 
 def code_from_tree(tree: CodeTree) -> PrefixCode:

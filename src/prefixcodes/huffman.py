@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from operator import itemgetter
 from typing import List, Optional, Tuple
@@ -68,6 +70,22 @@ def huffman_build(source: Source, policy: TiePolicy = DEFAULT_POLICY
             merged = (second[1], small[1])
         items.append((small[0] + second[0], merged))
     return CodeTree(source, items[0][1])
+
+
+def huffman_length(source: Source) -> Fraction:
+    """The expected length of every Huffman tree of the source, with no
+    tree built.  A leaf at depth d lies below d internal nodes, so the
+    expected length is the sum of the internal nodes' weights, one per
+    merge, over `den`.  Every tie choice gives that one cost, so no tie
+    policy applies."""
+    heap = list(source.weights)
+    heapify(heap)
+    total = 0
+    while len(heap) > 1:
+        merged = heappop(heap) + heap[0]
+        heapreplace(heap, merged)
+        total += merged
+    return Fraction(total, source.den)
 
 
 def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
@@ -244,6 +262,6 @@ def huffmanize(tree: CodeTree) -> CodeTree:
     """Row-permute an optimal tree into a length-equivalent Huffman tree."""
     if not tree.is_complete:
         raise NotComplete("huffmanize requires a complete tree")
-    if tree.expected_length() != huffman_build(tree.source).expected_length():
+    if tree.expected_length() != huffman_length(tree.source):
         raise NotOptimal("huffmanize requires an optimal code")
     return row_sorted(tree)

@@ -22,6 +22,7 @@ from .huffman import (
     _greedy_listing,
     huffman_build,
     huffman_enumerate,
+    huffman_length,
     sibling_property_exhaustive,
 )
 from .swaps import SwapKind, closure_shapes
@@ -322,7 +323,7 @@ def verify_theorems(source: Source) -> VerificationReport:
     built = huffman_build(source)
     checks.append(TheoremCheck(
         "huffman-achieves-minimum",
-        built.expected_length() == min_len,
+        built.expected_length() == huffman_length(source) == min_len,
         "huffman %s vs brute-force %s" % (built.expected_length(), min_len)))
     checks.append(TheoremCheck(
         "optimal-iff-strongly-monotone-iff-length-equivalent",

@@ -4,13 +4,15 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import prefixcodes
+from prefixcodes import Source
 from prefixcodes.cli import main, parse_code_text, parse_source_text
-from prefixcodes.errors import (AlphabetTooLarge, ConsistencyError,
-                               NotComplete, ParseError)
+from prefixcodes.errors import (AlphabetTooLarge, CodeError,
+                               ConsistencyError, NotComplete, ParseError)
 from prefixcodes.swaps import swap_equivalent
 from conftest import FIXTURES
 
@@ -72,6 +74,50 @@ class TestParsers:
     def test_bad_values(self, value, message):
         with pytest.raises(ParseError, match="^%s$" % message):
             parse_source_text("a %s\nb 3\n" % value)
+
+
+def parse_by_fraction(value):
+    """What `parse_source_text` gives for "a <value>" and "b 3" when
+    `Fraction` reads every value: (weights, den) or the ParseError text."""
+    try:
+        if "_" in value:
+            raise ValueError(value)
+        frac = Fraction(value)
+    except ValueError:
+        return "line 1: bad value %r" % value
+    try:
+        if "/" not in value and frac.denominator == 1:
+            source = Source.from_weights([("a", frac.numerator), ("b", 3)])
+        else:
+            source = Source([("a", frac), ("b", Fraction(3))])
+    except CodeError as exc:
+        return str(exc)
+    return source.weights, source.den
+
+
+class TestIntegerParse:
+    """Plain ASCII digits skip `Fraction`; every value keeps its answer."""
+
+    @pytest.mark.parametrize("value, answer", [
+        ("7", ((7, 3), 10)),
+        ("007", ((7, 3), 10)),
+        ("+7", ((7, 3), 10)),
+        ("7.0", ((7, 3), 10)),
+        ("1e3", ((1000, 3), 1003)),
+        ("\u0663", ((1, 1), 2)),  # ARABIC-INDIC DIGIT THREE
+        ("\uff13", ((1, 1), 2)),  # FULLWIDTH DIGIT THREE
+        ("\u00b2", "line 1: bad value '\u00b2'"),  # SUPERSCRIPT TWO
+        ("0", "probability of 'a' is not positive"),
+        ("1_000", "line 1: bad value '1_000'"),
+    ])
+    def test_matches_fraction_route(self, value, answer):
+        assert parse_by_fraction(value) == answer
+        try:
+            source = parse_source_text("a %s\nb 3\n" % value)
+        except ParseError as exc:
+            assert str(exc) == answer
+        else:
+            assert (source.weights, source.den) == answer
 
 
 class TestHuffmanCommand:

@@ -45,6 +45,7 @@ from conftest import (
     random_trees,
     reference_arena,
 )
+from test_package_merge import random_words
 
 
 class TestSource:
@@ -372,6 +373,18 @@ class TestTreeFromCode:
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         assert not tree.is_complete
         assert tree.label == "(a,(b,_))"
+
+    def test_paths_spell_incomplete_codes(self):
+        # codewords lengthened at random leave one-child nodes at every
+        # depth; the tree must hold exactly the codewords' prefixes
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            words = {"s%d" % i: word + rng.choice(["", "", "0", "1", "01"])
+                     for i, word in enumerate(random_words(rng, n))}
+            source = Source.from_weights((s, 1) for s in words)
+            tree = tree_from_code(source, words)
+            assert code_from_tree(tree).words == words
 
     def test_node_probability_consistency(self, ex1):
         tree = tree_from_code(ex1, load_code("ex1_h1.code"))

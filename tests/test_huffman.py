@@ -13,6 +13,7 @@ from prefixcodes import (
     expected_length,
     huffman_build,
     huffman_enumerate,
+    huffman_length,
     huffmanize,
     is_huffman,
     sibling_property,
@@ -20,9 +21,10 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes import huffman
-from prefixcodes.core import Oriented, interned, orbit, shape_label
+from prefixcodes.core import CodeTree, Oriented, interned, orbit, shape_label
 from prefixcodes.huffman import row_sorted
 from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
+from prefixcodes.oracle import min_expected_length
 from conftest import load_code, load_tree
 
 ALL_POLICIES = [TiePolicy(sel, order)
@@ -108,6 +110,40 @@ class TestBuild:
             labels = {t.label for t in huffman_enumerate(src)}
             for policy in ALL_POLICIES:
                 assert huffman_build(src, policy).label in labels
+
+
+def tie_heavy_sources(seed, count, max_n):
+    """Sources of 2 to max_n symbols with weights 1-3, so most merges tie."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield Source.from_weights(("s%d" % i, rng.randint(1, 3))
+                                  for i in range(rng.randint(2, max_n)))
+
+
+class TestLength:
+    def test_matches_every_policy(self, ex1, ex2, ex3, ex4, ex5):
+        sources = [ex1, ex2, ex3, ex4, ex5, *tie_heavy_sources(3, 60, 40)]
+        rng = random.Random(4)
+        sources += [Source.from_weights(("s%d" % i, rng.randint(1, 10 ** 6))
+                                        for i in range(n))
+                    for n in (2, 3, 50, 300)]
+        for src in sources:
+            for policy in ALL_POLICIES:
+                assert (huffman_length(src)
+                        == huffman_build(src, policy).expected_length()), src
+
+    def test_matches_brute_force_minimum(self, ex1, ex3, ex4, ex5):
+        for src in (ex1, ex3, ex4, ex5, *tie_heavy_sources(5, 40, 7)):
+            assert huffman_length(src) == min_expected_length(src), src
+
+    def test_builds_no_tree(self, monkeypatch, ex4):
+        expected = huffman_build(ex4).expected_length()
+
+        def no_tree(*args):
+            raise AssertionError("huffman_length built a tree")
+
+        monkeypatch.setattr(CodeTree, "__init__", no_tree)
+        assert huffman_length(ex4) == expected
 
 
 class TestEnumerate:

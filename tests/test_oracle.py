@@ -415,6 +415,17 @@ class TestVerifyDetectsCorruptedInputs:
         monkeypatch.setattr(oracle, "huffman_build", lambda source: worst)
         assert _failing(ex3) == {"huffman-achieves-minimum"}
 
+    def test_huffman_length_not_optimal(self, ex3, monkeypatch):
+        # the tree-free length is gated too; the detail still reports the
+        # built tree's length
+        wrong = min_expected_length(ex3) + 1
+        monkeypatch.setattr(oracle, "huffman_length", lambda source: wrong)
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "huffman-achieves-minimum"}
+        assert checks["huffman-achieves-minimum"].detail == (
+            "huffman 15/8 vs brute-force 15/8")
+
     @pytest.mark.parametrize("corrupt, failing", [
         # the optimal trees are never read, so a worse class reads as
         # optimal: it is not strongly monotone and has no Huffman tree

@@ -26,7 +26,9 @@ from prefixcodes import (
     improve_from_witness,
     strong_monotonicity_check,
 )
-from prefixcodes.analysis import MonotonicityWitness, _least_keys, _subset
+from prefixcodes import analysis
+from prefixcodes.analysis import (MonotonicityWitness, _least_keys, _subset,
+                                  _tie_keys)
 from prefixcodes.cli import main, parse_code_text
 from prefixcodes.core import _checked_lengths
 from prefixcodes.errors import ConsistencyError
@@ -186,8 +188,9 @@ def test_least_matches_brute_force():
 
 
 def test_least_keys_match_brute_force():
-    # both signs and ties: the least weight at each exponent k, and the
-    # first sorted index tuple that reaches it
+    # both signs and ties: the least weight at each exponent k from the
+    # plain weights, and the first sorted index tuple that reaches it
+    # from the tie keys
     rng = random.Random(5)
     for _ in range(300):
         depth = rng.randint(1, 4)
@@ -203,16 +206,46 @@ def test_least_keys_match_brute_force():
                     weight = sum(weights[i] for i in subset)
                     if k not in best or (weight, subset) < best[k]:
                         best[k] = (weight, subset)
-        found = {k: _subset(lengths, weights, k, key)
-                 for k, key in _least_keys(lengths, weights).items()}
+        assert _least_keys(lengths, weights) == {
+            k: weight for k, (weight, _) in best.items()}
+        found = {k: _subset(lengths, weights, k, key) for k, key
+                 in _least_keys(lengths, _tie_keys(weights)).items()}
         assert found == {k: subset for k, (_, subset) in best.items()}
         assert all(sum(weights[i] for i in subset) == best[k][0]
                    for k, subset in found.items())
 
 
+def test_keyed_pass_runs_only_on_a_violation(monkeypatch):
+    # the verdict reads the plain weights; the tie keys, n+1 bits wider,
+    # are built only to name a violation's witness sets, once per sign
+    keyed = []
+
+    def recorded(weights):
+        keyed.append(tuple(weights))
+        return _tie_keys(weights)
+
+    monkeypatch.setattr(analysis, "_tie_keys", recorded)
+    found = set()
+    for source, code, _ in seeded_cases(seed=19, count=200):
+        lengths = code_lengths(source, code)
+        keyed.clear()
+        witness = strong_monotonicity_check(source, lengths)
+        negated = tuple(-w for w in source.weights)
+        assert keyed == ([] if witness is None
+                         else [source.weights, negated]), source.weights
+        found.add(witness is None)
+    assert found == {True, False}
+    for n in (21, 300):
+        source = Source.from_weights(("s%d" % i, 1 + i % 5) for i in range(n))
+        keyed.clear()
+        lengths = tree_lengths(huffman_build(source))
+        assert strong_monotonicity_check(source, lengths) is None
+        assert keyed == []
+
+
 def test_subset_checks_its_decoding():
     lengths, weights = (1, 1, 2), (3, 1, 2)
-    key = _least_keys(lengths, weights)[1]
+    key = _least_keys(lengths, _tie_keys(weights))[1]
     assert _subset(lengths, weights, 1, key) == (1,)
     with pytest.raises(ConsistencyError):
         _subset(lengths, weights, 0, key)  # K = 1/2, not 1
