@@ -45,8 +45,6 @@ from .errors import (
 )
 from .huffman import (
     DEFAULT_ENUMERATE_CAP,
-    ChildOrder,
-    Selector,
     TiePolicy,
     huffman_build,
     huffman_enumerate,
@@ -143,11 +141,6 @@ def tree_to_dot(tree: CodeTree) -> str:
     return "\n".join(lines)
 
 
-def _policy(name: str) -> TiePolicy:
-    selector, _, order = name.partition("-")
-    return TiePolicy(Selector(selector), ChildOrder("smaller-" + order))
-
-
 def _parse_kinds(text: str) -> set:
     kinds = set()
     for part in text.split(","):
@@ -184,7 +177,7 @@ def cmd_huffman(args) -> int:
             for tree in trees:
                 print(tree.label)
         return EXIT_OK
-    tree = huffman_build(source, _policy(args.policy or "first-left"))
+    tree = huffman_build(source, TiePolicy(args.policy or "first-left"))
     code = code_from_tree(tree)
     if args.dot:
         print(tree_to_dot(tree))
@@ -347,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="enumerate every tie-break outcome")
     p.add_argument("--policy", help="default first-left",
-                   choices=["first-left", "first-right",
-                            "last-left", "last-right"])
+                   choices=[policy.value for policy in TiePolicy])
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument("--json", action="store_true")
     p.add_argument("--cap", type=positive_int,

@@ -56,7 +56,12 @@ class Source:
     each held once, as an integer weight over the common denominator `den`."""
 
     def __init__(self, entries: Iterable[Tuple[str, Fraction]]):
-        pairs = [(sym, Fraction(prob)) for sym, prob in entries]
+        pairs = list(entries)
+        for sym, prob in pairs:  # before any arithmetic: no float, no bool
+            if isinstance(prob, (bool, float)):
+                raise InvalidSource("probability of %r is a %s, not a Fraction"
+                                    % (sym, type(prob).__name__))
+        pairs = [(sym, Fraction(prob)) for sym, prob in pairs]
         den = lcm(*(p.denominator for _, p in pairs))
         self._store([(sym, p.numerator * (den // p.denominator))
                      for sym, p in pairs], den)

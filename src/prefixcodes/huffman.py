@@ -1,4 +1,5 @@
-"""Huffman construction, enumeration over flip orbits, the sibling property."""
+"""Huffman construction under one of four tie policies, enumeration over
+flip orbits, the sibling property."""
 
 from __future__ import annotations
 
@@ -17,26 +18,14 @@ from .errors import CapExceeded, NotComplete, NotOptimal
 DEFAULT_ENUMERATE_CAP = 100_000
 
 
-class Selector(enum.Enum):
-    """Which of several equally small nodes the merge loop picks."""
-    FIRST_INDEX = "first"
-    LAST_INDEX = "last"
-
-
-class ChildOrder(enum.Enum):
-    """Which side of a merge the smaller-probability node lands on."""
-    SMALLER_LEFT = "smaller-left"
-    SMALLER_RIGHT = "smaller-right"
-
-
-@dataclass(frozen=True)
-class TiePolicy:
-    """Deterministic resolution of every choice in one merge-loop run."""
-    selector: Selector = Selector.FIRST_INDEX
-    child_order: ChildOrder = ChildOrder.SMALLER_LEFT
-
-
-DEFAULT_POLICY = TiePolicy()
+class TiePolicy(enum.Enum):
+    """Which run of the merge loop `huffman_build` makes, named as on the
+    command line: the first or the last of equally small nodes in pool
+    order, and the side the smaller node of a merge lands on."""
+    FIRST_LEFT = "first-left"
+    FIRST_RIGHT = "first-right"
+    LAST_LEFT = "last-left"
+    LAST_RIGHT = "last-right"
 
 
 @dataclass(frozen=True)
@@ -45,17 +34,21 @@ class SiblingListing:
     order: Tuple[int, ...]
 
 
-def huffman_build(source: Source, policy: TiePolicy = DEFAULT_POLICY
+def huffman_build(source: Source, policy: TiePolicy = TiePolicy.FIRST_LEFT
                   ) -> CodeTree:
-    """One deterministic run of the merge loop under a tie policy."""
+    """One run of the merge loop from the symbols in source order: each
+    merged node joins the end of the pool, and the policy says which of
+    equal least nodes a merge takes and where the smaller one lands."""
     items = [(source.prob(sym), sym) for sym in source.symbols]
+    last = policy in (TiePolicy.LAST_LEFT, TiePolicy.LAST_RIGHT)
+    smaller_left = policy in (TiePolicy.FIRST_LEFT, TiePolicy.LAST_LEFT)
 
     def pick_min(pool):
         best = None
         for idx, (prob, _) in enumerate(pool):
             if best is None or prob < pool[best][0]:
                 best = idx
-            elif prob == pool[best][0] and policy.selector is Selector.LAST_INDEX:
+            elif prob == pool[best][0] and last:
                 best = idx
         return best
 
@@ -64,10 +57,8 @@ def huffman_build(source: Source, policy: TiePolicy = DEFAULT_POLICY
         small = items.pop(i)
         j = pick_min(items)
         second = items.pop(j)
-        if policy.child_order is ChildOrder.SMALLER_LEFT:
-            merged = (small[1], second[1])
-        else:
-            merged = (second[1], small[1])
+        merged = ((small[1], second[1]) if smaller_left
+                  else (second[1], small[1]))
         items.append((small[0] + second[0], merged))
     return CodeTree(source, items[0][1])
 

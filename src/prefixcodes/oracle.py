@@ -15,8 +15,8 @@ from .analysis import (
     is_monotone,
     strong_monotonicity_check,
 )
-from .core import (CodeTree, Oriented, Shape, Source, _checked_lengths,
-                   _kraft, interned, orbit, shape_label)
+from .core import (CodeTree, Shape, Source, _checked_lengths, _kraft, orbit,
+                   shape_label)
 from .errors import AlphabetTooLarge
 from .huffman import (
     _greedy_listing,
@@ -244,9 +244,8 @@ def verify_theorems(source: Source) -> VerificationReport:
     canonical orientation and groups it by length vector.  Theorem 1's
     three properties read the vector alone, so each length class is
     checked once, and a multiset of sibling weight pairs shares the
-    backtracking sibling search.  The trees the greedy sibling check
-    lists are compared with the Huffman trees as canonical forms, and
-    the closures with the ordered trees the codes stand for.  A
+    backtracking sibling search.  The Huffman trees and the closures are
+    compared with the ordered trees the codes stand for.  A
     `CodeTree` is built only to start a closure and to run that search.
     The pairwise same-row swap check is skipped above 5 symbols to stay
     at desk scale; every other check runs up to 8 symbols.
@@ -260,8 +259,6 @@ def verify_theorems(source: Source) -> VerificationReport:
     # level; ENUMERATION_MAX_SYMBOLS = 8 bounds the depth at 7.
     huffman_trees = huffman_enumerate(source)
     huffman_shapes = {t.shape for t in huffman_trees}
-    forms = Oriented({}, source)
-    huffman_forms = {interned(t, forms) for t in huffman_trees}
     huffman_length_keys = {tuple(map(t.depth_of, source.symbols))
                            for t in huffman_trees}
 
@@ -330,11 +327,9 @@ def verify_theorems(source: Source) -> VerificationReport:
         not bad["equivalence"],
         "counterexamples: %s" % labels("equivalence") if bad["equivalence"]
         else "%d trees checked" % (sum(map(len, classes.values())) * flips)))
-    # the Huffman trees are whole flip classes: each canonical form
-    # stands for `flips` of them
-    same_set = ({_shape(source, code) for code in sibling_codes}
-                == huffman_forms
-                and len(huffman_trees) == flips * len(huffman_forms))
+    # the ordered trees the listed codes stand for, each enumerated once
+    same_set = (_ordered(source, sibling_codes) == huffman_shapes
+                and len(huffman_trees) == len(huffman_shapes))
     checks.append(TheoremCheck(
         "sibling-property-iff-huffman",
         not bad["sibling"] and same_set,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import prefixcodes
-from prefixcodes import Source
-from prefixcodes.cli import main, parse_code_text, parse_source_text
+from prefixcodes import Source, TiePolicy
+from prefixcodes.cli import (build_parser, main, parse_code_text,
+                             parse_source_text)
 from prefixcodes.errors import (AlphabetTooLarge, CodeError,
                                ConsistencyError, NotComplete, ParseError)
 from prefixcodes.swaps import swap_equivalent
@@ -177,6 +179,13 @@ class TestHuffmanCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "huffman --all covers every --policy" in err
+
+    def test_policy_choices_are_the_tie_policies(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        policy = next(a for a in sub.choices["huffman"]._actions
+                      if a.dest == "policy")
+        assert policy.choices == [p.value for p in TiePolicy]
 
     def test_cap_without_all_is_input_error(self, capsys):
         # --cap bounds the --all listing; one tree is not silently built

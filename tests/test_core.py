@@ -92,6 +92,13 @@ class TestSource:
             with pytest.raises(InvalidSource, match="^weight of '%s' is not "
                                "an integer$" % bad):
                 Source.from_weights(weights)
+        # a float never enters the core, even one that sums exactly
+        for probs, kind in (([("a", 0.5), ("b", 0.5)], "float"),
+                            ([("a", 0.1), ("b", 0.9)], "float"),
+                            ([("a", True), ("b", False)], "bool")):
+            with pytest.raises(InvalidSource, match="^probability of 'a' is "
+                               "a %s, not a Fraction$" % kind):
+                Source(probs)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidSource):

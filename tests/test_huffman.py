@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from prefixcodes import (
-    ChildOrder,
-    Selector,
     Source,
     TiePolicy,
     code_from_tree,
@@ -27,8 +25,7 @@ from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from prefixcodes.oracle import min_expected_length
 from conftest import load_code, load_tree
 
-ALL_POLICIES = [TiePolicy(sel, order)
-                for sel in Selector for order in ChildOrder]
+ALL_POLICIES = list(TiePolicy)
 
 
 def enumerate_by_resorting(source, cap):
@@ -83,6 +80,22 @@ def enumerate_by_resorting(source, cap):
 
 
 class TestBuild:
+    def test_policies_are_named_as_on_the_command_line(self):
+        assert [p.value for p in ALL_POLICIES] == [
+            "first-left", "first-right", "last-left", "last-right"]
+        for policy in ALL_POLICIES:
+            assert TiePolicy(policy.value) is policy
+
+    def test_each_policy_on_three_tied_symbols(self):
+        # first or last of the equal least nodes in pool order, where a
+        # merged node joins the end; the node taken first on either side
+        src = Source.from_weights([("a", 1), ("b", 1), ("c", 1)])
+        labels = {p.value: huffman_build(src, p).label for p in ALL_POLICIES}
+        assert labels == {"first-left": "(c,(a,b))",
+                          "first-right": "((b,a),c)",
+                          "last-left": "(a,(c,b))",
+                          "last-right": "((b,c),a)"}
+
     def test_dyadic_lengths(self, ex1):
         tree = huffman_build(ex1)
         lengths = code_lengths(ex1, code_from_tree(tree))

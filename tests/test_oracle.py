@@ -381,8 +381,8 @@ class TestVerifyDetectsCorruptedInputs:
         assert _failing(ex3) == {check}
 
     def test_huffman_set_misses_one_orientation(self, ex3, monkeypatch):
-        # the canonical forms stay the same, so only the count of trees
-        # per form shows the gap; the closure finds the dropped tree
+        # the listed codes stand for the dropped tree too, and the
+        # closure finds it
         real = oracle.huffman_enumerate
         monkeypatch.setattr(oracle, "huffman_enumerate",
                             lambda source: real(source)[:-1])
@@ -392,6 +392,15 @@ class TestVerifyDetectsCorruptedInputs:
         assert checks["sibling-property-iff-huffman"].detail == (
             "greedy/backtracking disagreements: []; "
             "listing-set == merge-enumeration: False")
+
+    def test_huffman_set_repeats_one_tree(self, ex3, monkeypatch):
+        # the set of trees stays the same, so only the count shows it
+        real = oracle.huffman_enumerate
+        monkeypatch.setattr(oracle, "huffman_enumerate",
+                            lambda source: real(source) + real(source)[:1])
+        checks = {c.name: c for c in verify_theorems(ex3).checks}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "sibling-property-iff-huffman"}
 
     def test_huffman_tree_not_monotone(self, ex3, monkeypatch):
         monkeypatch.setattr(oracle, "is_monotone", lambda tree: False)
