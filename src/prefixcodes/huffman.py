@@ -4,11 +4,12 @@ flip orbits, the sibling property."""
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
+from math import inf
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -93,30 +94,22 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
     if cap < 1:  # every source has at least one Huffman tree
         raise ValueError("Huffman tree cap must be at least 1, got %d" % cap)
     forms = Oriented({}, source)  # lives for this call: every id names a form
-    start = tuple(sorted((id(forms.setdefault(sym, sym)), w, sym)
+    start = tuple(sorted((w, id(forms.setdefault(sym, sym)), sym)
                          for sym, w in zip(source.symbols, source.weights)))
 
     def successors(state):
-        # state: tuple of (id(form), weight, form), sorted by id; a
-        # state's ids are distinct, so no comparison reaches a form
-        least = second = None  # the two least weights, in one pass
-        for _, w, _ in state:
-            if least is None or w < least:
-                least, second = w, least
-            elif second is None or w < second:
-                second = w
-        lows = [i for i, t in enumerate(state) if t[1] == least]
-        if least == second:
-            pairs = combinations(lows, 2)
-        else:  # the one least node with each second-least node, i < j
-            pairs = (sorted((lows[0], j)) for j, t in enumerate(state)
-                     if t[1] == second)
+        # state: sorted (weight, id(form), form) tuples; a state's ids are
+        # distinct, so no comparison reaches a form
+        least, second = state[0][0], state[1][0]
+        end = bisect_right(state, (second, inf))  # the nodes that can merge
+        pairs = (combinations(range(end), 2) if least == second
+                 else ((0, j) for j in range(1, end)))
         for i, j in pairs:
-            form = forms.setdefault((state[i][0], state[j][0]),
+            form = forms.setdefault((state[i][1], state[j][1]),
                                     (state[i][2], state[j][2]))
             nxt = list(state)
             del nxt[j], nxt[i]
-            insort(nxt, (id(form), least + second, form))
+            insort(nxt, (least + second, id(form), form))
             yield tuple(nxt)
 
     # no form repeats: states expand once; a form's root pair fixes its state
@@ -131,7 +124,7 @@ def huffman_enumerate(source: Source, cap: int = DEFAULT_ENUMERATE_CAP
                     raise CapExceeded(
                         "at least %d distinct Huffman trees exceed cap %d"
                         % (cap + 1, cap))
-            elif (k := tuple(i for i, _, _ in nxt)) not in seen:
+            elif (k := tuple(i for _, i, _ in nxt)) not in seen:
                 seen.add(k)
                 stack.append(nxt)
     table: ShapeTable = {}  # one shape per distinct subtree, over all trees

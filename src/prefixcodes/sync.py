@@ -5,27 +5,35 @@ node; reaching a leaf emits its symbol and resets to the root.  A
 self-synchronizing string drives every internal node (root included) to
 the root when fully consumed.  Search is a BFS over subsets of internal
 nodes represented as bitmasks, so nonexistence answers are exact.
+
+Two guards bound the search: `MAX_INTERNAL_NODES` the cost of each
+subset, since a mask holds one bit per internal node and its image costs
+about popcount x width, and `DEFAULT_SUBSET_CAP` how many subsets are
+held.  Neither follows from the other: 1,024 nodes admit 2^1024 subsets.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import CodeTree
 from .errors import NotComplete, NotInternal, SubsetCapExceeded
 
-MAX_INTERNAL_NODES = 24
-DEFAULT_SUBSET_CAP = 1 << MAX_INTERNAL_NODES
+MAX_INTERNAL_NODES = 1024
+DEFAULT_SUBSET_CAP = 1 << 19
 _BITS = {"0": 0, "1": 1}  # any other character is `decoder_step`'s error
 
 
 @dataclass(frozen=True)
 class SyncResult:
     string: Optional[str]
-    exists: bool
     explored_subsets: int
+
+    @property
+    def exists(self) -> bool:
+        return self.string is not None
 
 
 def decoder_step(tree: CodeTree, state: int, bit: int) -> int:
@@ -65,54 +73,39 @@ def shortest_sync_string(tree: CodeTree,
         raise ValueError("subset cap must be at least 1, got %d" % subset_cap)
     if not tree.is_complete:
         raise NotComplete("synchronization is defined on complete trees")
-    internal = tree.internal_ids
+    internal = tree.internal_ids  # the root is node 0, so {root} is mask 1
     if len(internal) > MAX_INTERNAL_NODES:
         raise SubsetCapExceeded(
             "tree has %d internal nodes; the subset search supports %d"
             % (len(internal), MAX_INTERNAL_NODES))
     index = {nid: k for k, nid in enumerate(internal)}
-    step: List[Tuple[int, int]] = []
-    for nid in internal:
-        step.append((index[decoder_step(tree, nid, 0)],
-                     index[decoder_step(tree, nid, 1)]))
-    root_bit = 1 << index[tree.root]
+    steps = [[index[decoder_step(tree, nid, bit)] for nid in internal]
+             for bit in (0, 1)]
     start = (1 << len(internal)) - 1
-    target = root_bit
-
-    def image(mask: int, bit: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= 1 << step[low.bit_length() - 1][bit]
-        return out
-
-    parent: Dict[int, Tuple[Optional[int], Optional[int]]] = {
-        start: (None, None)}
-    if start == target:
-        return SyncResult(string="", exists=True, explored_subsets=1)
+    parent: Dict[int, Tuple[int, str]] = {start: (start, "")}  # (from, bit)
+    if start == 1:
+        return SyncResult(string="", explored_subsets=1)
     queue = deque([start])
     while queue:
         mask = queue.popleft()
-        for bit in (0, 1):
-            nxt = image(mask, bit)
+        for ch, step in zip("01", steps):
+            nxt, m = 0, mask
+            while m:
+                low = m & -m
+                m ^= low
+                nxt |= 1 << step[low.bit_length() - 1]
             if nxt in parent:
                 continue
-            parent[nxt] = (mask, bit)
-            if nxt == target:
+            parent[nxt] = (mask, ch)
+            if nxt == 1:  # {root}
                 bits = []
-                cur: Optional[int] = nxt
-                while cur is not None:
-                    prev, b = parent[cur]
-                    if b is not None:
-                        bits.append(str(b))
-                    cur = prev
-                bits.reverse()
-                return SyncResult(string="".join(bits), exists=True,
+                while nxt != start:
+                    nxt, bit = parent[nxt]
+                    bits.append(bit)
+                return SyncResult(string="".join(reversed(bits)),
                                   explored_subsets=len(parent))
             if len(parent) > subset_cap:
                 raise SubsetCapExceeded(
                     "visited more than %d state subsets" % subset_cap)
             queue.append(nxt)
-    return SyncResult(string=None, exists=False, explored_subsets=len(parent))
+    return SyncResult(string=None, explored_subsets=len(parent))

@@ -358,6 +358,14 @@ class TestSyncCommand:
         assert data == {"exists": True, "string": "00",
                         "explored_subsets": data["explored_subsets"]}
 
+    def test_json_none(self, capsys):
+        # `exists` stays a key of the JSON, false with a null string
+        assert main(["sync", fx("ex2.src"), fx("ex2_h2.code"),
+                     "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"exists": False, "string": None,
+                        "explored_subsets": 11}
+
     def test_incomplete_code(self, tmp_path, capsys):
         src = tmp_path / "s.src"
         src.write_text("a 1/2\nb 1/2\n")
@@ -445,6 +453,20 @@ class TestDeepTrees:
                                 for i, w in enumerate(words)))
         assert main(["sync", str(src), str(code)]) == 3
         assert "internal nodes" in capsys.readouterr().err
+
+    def test_sync_on_largest_caterpillar(self, tmp_path, capsys):
+        # 1,025 symbols: 1,024 internal nodes, the most the search takes
+        n = 1025
+        src = tmp_path / "s.src"
+        src.write_text("".join("s%d 1\n" % i for i in range(n)))
+        code = tmp_path / "c.code"
+        words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
+        code.write_text("".join("s%d %s\n" % (i, w)
+                                for i, w in enumerate(words)))
+        assert main(["sync", str(src), str(code), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"exists": True, "string": "0",
+                        "explored_subsets": 2}
 
     def dyadic_source(self, tmp_path):
         weights = [1] + [1 << k for k in range(self.N - 1)]

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from prefixcodes import (
     Source,
+    code_from_tree,
     decoder_step,
     huffman_build,
     run_string,
@@ -11,7 +13,7 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.errors import NotComplete, NotInternal, SubsetCapExceeded
-from conftest import fold_decoder_step, load_tree
+from conftest import FIXTURES, fold_decoder_step, load_tree
 
 
 class TestDecoderStep:
@@ -139,19 +141,24 @@ class TestShortestSyncString:
 
     def test_minimality_and_lex_order(self, ex1):
         # brute force over all strings shorter than or equal to the witness
-        _, h2 = load_tree("ex1.src", "ex1_h2.code")
-        witness = shortest_sync_string(h2).string
+        for src_name, code_name in [("ex1.src", "ex1_h2.code"),
+                                    ("ex2.src", "ex2_h1.code"),
+                                    ("ex5.src", "ex5_h1.code")]:
+            _, tree = load_tree(src_name, code_name)
+            witness = shortest_sync_string(tree).string
+            assert self.least_sync_string(tree, len(witness)) == witness
 
+    @staticmethod
+    def least_sync_string(tree, max_length):
         def synchronizes(bits):
-            return all(run_string(h2, s, bits) == h2.root
-                       for s in h2.internal_ids)
+            return all(run_string(tree, s, bits) == tree.root
+                       for s in tree.internal_ids)
 
-        for length in range(len(witness) + 1):
+        for length in range(max_length + 1):
             for value in range(1 << length):
                 bits = format(value, "b").rjust(length, "0") if length else ""
                 if synchronizes(bits):
-                    assert bits == witness
-                    return
+                    return bits
         pytest.fail("brute force never reached the witness")
 
     def test_two_leaf_tree_synchronizes_trivially(self):
@@ -179,3 +186,65 @@ class TestShortestSyncString:
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
             shortest_sync_string(tree)
+
+
+def caterpillar(n):
+    """The complete tree with codewords 0, 10, 110, ... and 1^(n-1)."""
+    names = ["s%d" % i for i in range(n)]
+    words = ["1" * i + "0" for i in range(n - 1)] + ["1" * (n - 1)]
+    return tree_from_code(Source.from_weights((s, 1) for s in names),
+                          dict(zip(names, words)))
+
+
+def drives_to_root(words, bits):
+    """Decode `bits` over the codewords from every internal state, each a
+    proper prefix of a codeword, and report whether all end at the root."""
+    leaves = set(words)
+    for state in {w[:k] for w in words for k in range(len(w))}:
+        for bit in bits:
+            state += bit
+            if state in leaves:
+                state = ""
+        if state:
+            return False
+    return True
+
+
+class TestSearchGuards:
+    def test_largest_caterpillar_synchronizes(self):
+        # "0" takes every internal node to a leaf: {all}, then {root}
+        tree = caterpillar(1025)
+        assert len(tree.internal_ids) == 1024
+        result = shortest_sync_string(tree)
+        assert (result.string, result.explored_subsets) == ("0", 2)
+
+    def test_node_guard_past_1024_internal_nodes(self):
+        with pytest.raises(SubsetCapExceeded,
+                           match="^tree has 1025 internal nodes; the subset "
+                                 "search supports 1024$"):
+            shortest_sync_string(caterpillar(1026))
+
+    def test_huffman_tree_of_300_symbols(self):
+        rng = random.Random(300)
+        weights = rng.sample(range(1, 6001), 300)
+        tree = huffman_build(Source.from_weights(
+            ("s%d" % i, w) for i, w in enumerate(weights)))
+        words = list(code_from_tree(tree).words.values())
+        result = shortest_sync_string(tree)
+        assert result.exists and result.explored_subsets > 2
+        assert drives_to_root(words, result.string)
+        assert not drives_to_root(words, result.string[:-1])
+        # {root} is the last subset visited, and the cap is tested after it
+        explored = result.explored_subsets
+        assert shortest_sync_string(tree, subset_cap=explored - 1) == result
+        with pytest.raises(SubsetCapExceeded,
+                           match="^visited more than %d state subsets$"
+                                 % (explored - 2)):
+            shortest_sync_string(tree, subset_cap=explored - 2)
+
+    @pytest.mark.parametrize("code", sorted(
+        path.name for path in FIXTURES.glob("ex*_*.code")))
+    def test_exists_iff_string(self, code):
+        _, tree = load_tree(code.split("_")[0] + ".src", code)
+        result = shortest_sync_string(tree)
+        assert result.exists == (result.string is not None)
