@@ -13,19 +13,10 @@ from itertools import compress
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (
-    CodeTree,
-    PrefixCode,
-    Source,
-    _checked_lengths,
-    _kraft,
-    code_lengths,
-    expected_length,
-    kraft_sum,
-    tree_from_code,
-)
+from .core import (CodeTree, PrefixCode, Source, _checked_lengths, _kraft,
+                   code_lengths, expected_length, kraft_sum, tree_from_code)
 from .errors import ConsistencyError, InvalidWitness
-from .huffman import huffman_length, is_huffman, row_sorted
+from .huffman import _greedy_listing, _row_sort, huffman_length, is_huffman
 
 
 @dataclass(frozen=True)
@@ -58,15 +49,17 @@ def is_complete(tree: CodeTree) -> bool:
 
 
 def is_monotone(tree: CodeTree) -> bool:
-    """True iff no node out-weighs any node on a strictly higher row."""
-    rows, weights = tree.rows(), tree.weights
-    row_min = [min(weights[i] for i in row) for row in rows]
-    row_max = [max(weights[i] for i in row) for row in rows]
-    running_min = row_min[0]
-    for depth in range(1, len(rows)):
-        if row_max[depth] > running_min:
+    """True iff no node out-weighs any node on a strictly higher row, or,
+    the same by induction, the least node of the row just above."""
+    above = row_min = tree.weights[0]  # least of the row above; this row's
+    row = 0
+    for w, depth in zip(tree.weights, tree.depths):  # breadth-first
+        if depth != row:
+            row, above, row_min = depth, row_min, w
+        elif w < row_min:
+            row_min = w
+        if w > above:
             return False
-        running_min = min(running_min, row_min[depth])
     return True
 
 
@@ -76,8 +69,7 @@ def _least_keys(lengths: Sequence[int], keys: Sequence[int]
     One package-merge pass (Larmore and Hirschberg 1990) serves every k:
     from the deepest row up, row k's cheapest entry is the answer at k,
     and the entries pair off, cheapest first, into packages for the row
-    above, the same for all k.  Plain weights give the least weights;
-    `_tie_keys` also picks the subset that reaches them."""
+    above, the same for all k."""
     rows: List[List[int]] = [[] for _ in range(max(lengths) + 1)]
     for ln, key in zip(lengths, keys):
         rows[ln].append(key)
@@ -91,35 +83,30 @@ def _least_keys(lengths: Sequence[int], keys: Sequence[int]
     return least
 
 
-def _tie_keys(weights: Sequence[int]) -> List[int]:
-    """The keys w_i*2^(n+1) - 2^(n-i), whose least sum at each exponent
-    names one subset, read back by `_subset`.
+def _least_set(lengths: Sequence[int], weights: Sequence[int], k: int
+               ) -> Tuple[int, int, Tuple[int, ...]]:
+    """The (weight, least index, indices) entry of the first sorted index
+    tuple among the least-weight subsets with Kraft sum 2^-k, for a k
+    that some subset reaches.
 
-    A subset's key sum is W*2^(n+1) - b, with W its weight and b > 0 its
-    bonuses 2^(n-i); all n bonuses sum to less than 2^(n+1).  So the
-    least key sum has the least W (the sum rounded up to a multiple of
-    2^(n+1)) and among those the greatest b, which is the first sorted
-    index tuple: at the least index in S but not in T, S gains a bonus
-    larger than all later ones together, and T holds a larger index
-    there, for two subsets with one Kraft sum are never prefix and
-    extension (a proper superset has a larger Kraft sum).
-    """
-    n = len(weights)
-    return [(w << n + 1) - (1 << n - i) for i, w in enumerate(weights)]
-
-
-def _subset(lengths: Sequence[int], weights: Sequence[int], k: int,
-            key: int) -> Tuple[int, ...]:
-    """The index tuple of the least key sum at exponent k: i is in it iff
-    bonus bit 2^(n-i) is set.  Checks its Kraft sum and weight."""
-    n, depth = len(weights), max(lengths)
-    weight = -(-key >> n + 1)
-    bonus = format((weight << n + 1) - key, "0%db" % (n + 1))
-    chosen = tuple(i for i, bit in enumerate(bonus) if bit == "1")
-    if (sum(1 << depth - lengths[i] for i in chosen) != 1 << depth - k
-            or sum(weights[i] for i in chosen) != weight):
-        raise ConsistencyError("key %d misdecodes at exponent %d" % (key, k))
-    return chosen
+    `_least_keys` on the keys w_i*2^(n+1) - 2^(n-i) finds that tuple: a
+    subset's bonuses 2^(n-i) sum below 2^(n+1), and where two subsets of
+    one Kraft sum (neither extends the other) first differ, the one with
+    the index gains more than all later bonuses.  Of two disjoint subsets
+    of equal weight, the keys thus put first the one with the least index.
+    A row's entries are disjoint (a package joins two of the row below),
+    so sorting on (weight, least index) orders a row as the keys do, with
+    no n-bit key; two entries package as (w1 + w2, min(i1, i2), t1 + t2).
+    The rows above k are not read."""
+    rows: List[list] = [[] for _ in range(max(lengths) + 1)]
+    for i, (ln, w) in enumerate(zip(lengths, weights)):
+        rows[ln].append((w, i, (i,)))
+    carry = []
+    for row in rows[:k:-1]:  # the deepest row up to row k + 1
+        row = sorted(row + carry)
+        carry = [(w1 + w2, min(i1, i2), t1 + t2) for (w1, i1, t1), (w2, i2, t2)
+                 in zip(row[::2], row[1::2])]
+    return min(rows[k] + carry)
 
 
 def strong_monotonicity_check(source: Source, lengths: Sequence[int]
@@ -131,12 +118,11 @@ def strong_monotonicity_check(source: Source, lengths: Sequence[int]
     is at least the greatest P(B) with K(B) = 2^-j.  One package-merge
     pass per sign over the plain weights gives both extremes at every
     exponent.  At the first violating (i, j), in increasing i then j, one
-    keyed pass per sign finds the witness sets, the first sorted index
-    tuples that reach the extremes, as in
+    pass per sign on entries that carry their subsets finds the witness
+    sets, the first sorted index tuples that reach the extremes, as in
     `oracle.strong_monotonicity_scan`, the 2^n subset scan this answer
     must match.
     """
-    symbols = source.symbols
     lengths = _checked_lengths(source, lengths)
     weights = source.weights  # probabilities as integers over den
     negated = [-w for w in weights]  # the greatest, as the least negated
@@ -145,14 +131,17 @@ def strong_monotonicity_check(source: Source, lengths: Sequence[int]
     exponents = sorted(lo)
     for a, i in enumerate(exponents):
         j = next((j for j in exponents[a + 1:] if hi[j] > lo[i]), None)
-        if j is not None:  # only now the witness sets: the keyed passes
-            A = _subset(lengths, weights, i,
-                        _least_keys(lengths, _tie_keys(weights))[i])
-            B = _subset(lengths, negated, j,
-                        _least_keys(lengths, _tie_keys(negated))[j])
-            return MonotonicityWitness(A=tuple(symbols[t] for t in A),
-                                       B=tuple(symbols[t] for t in B),
-                                       i=i, j=j)
+        if j is not None:  # only now the witness sets
+            depth, sets = max(lengths), []
+            for ws, k, least in ((weights, i, lo[i]), (negated, j, -hi[j])):
+                chosen = sorted(_least_set(lengths, ws, k)[2])
+                if (sum(ws[t] for t in chosen) != least
+                        or sum(1 << depth - lengths[t] for t in chosen)
+                        != 1 << depth - k):
+                    raise ConsistencyError("witness set misses exponent %d "
+                                           "or weight %d" % (k, least))
+                sets.append(tuple(source.symbols[t] for t in chosen))
+            return MonotonicityWitness(A=sets[0], B=sets[1], i=i, j=j)
     return None
 
 
@@ -204,9 +193,9 @@ def classify(source: Source, code: PrefixCode) -> PropertyReport:
     huffman_len = huffman_length(source)
     optimal = exp_len == huffman_len
     huffman_member = is_huffman(tree)
-    h = row_sorted(tree) if complete else None  # the certificate
-    length_equiv = h is not None and is_huffman(h) and tuple(
-        map(h.depth_of, source.symbols)) == lengths
+    # the certificate: a row sort moves no leaf off its row, so its leaf
+    # depths are the code's, and its sibling pairs say if it is Huffman
+    length_equiv = complete and _greedy_listing(_row_sort(tree)[0])
     if not (optimal == (complete and strongly_monotone) == length_equiv):
         raise ConsistencyError(
             "optimality characterizations disagree: optimal=%s, "

@@ -24,7 +24,7 @@ import traceback
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .analysis import PropertyReport, classify
 from .core import (
@@ -112,14 +112,15 @@ def parse_code_text(text: str) -> PrefixCode:
         raise ParseError(str(exc)) from None
 
 
-def _load_source(path: str) -> Source:
-    with open(path, encoding="utf-8") as fh:
-        return parse_source_text(fh.read())
-
-
-def _load_code(path: str) -> PrefixCode:
-    with open(path, encoding="utf-8") as fh:
-        return parse_code_text(fh.read())
+def _load(path: str, parse: Callable):
+    """`parse` of a file's text: its bytes, decoded once as UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
+    return parse(text)
 
 
 def tree_to_dot(tree: CodeTree) -> str:
@@ -162,7 +163,7 @@ def cmd_huffman(args) -> int:
         raise ParseError("huffman --cap bounds --all, not one tree")
     if args.dot and args.json:
         raise ParseError("huffman --dot prints DOT, not --json")
-    source = _load_source(args.source)
+    source = _load(args.source, parse_source_text)
     if args.all:
         trees = huffman_enumerate(source,
                                   cap=args.cap or DEFAULT_ENUMERATE_CAP)
@@ -216,8 +217,8 @@ def _report_json(report: PropertyReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    source = _load_source(args.source)
-    code = _load_code(args.code)
+    source = _load(args.source, parse_source_text)
+    code = _load(args.code, parse_code_text)
     report = classify(source, code)
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
@@ -239,11 +240,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_swaps(args) -> int:
-    source = _load_source(args.source)
-    start = tree_from_code(source, _load_code(args.from_code))
+    source = _load(args.source, parse_source_text)
+    start = tree_from_code(source, _load(args.from_code, parse_code_text))
     kinds = _parse_kinds(args.kinds)
     if args.to_code:
-        target = tree_from_code(source, _load_code(args.to_code))
+        target = tree_from_code(source, _load(args.to_code, parse_code_text))
         moves = swap_equivalent(source, start, target, kinds, cap=args.cap)
         if moves is None:
             print("NOT EQUIVALENT")
@@ -277,8 +278,8 @@ def cmd_swaps(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    source = _load_source(args.source)
-    tree = tree_from_code(source, _load_code(args.code))
+    source = _load(args.source, parse_source_text)
+    tree = tree_from_code(source, _load(args.code, parse_code_text))
     result = shortest_sync_string(tree)
     if args.json:
         print(json.dumps({
@@ -297,7 +298,7 @@ def cmd_verify(args) -> int:
     if args.corpus:
         sources = builtin_corpus()
     else:
-        sources = [(args.source, _load_source(args.source))]
+        sources = [(args.source, _load(args.source, parse_source_text))]
     max_n = min(args.max_n, ENUMERATION_MAX_SYMBOLS)
     for name, source in sources:  # every limit before any work
         if len(source) > max_n:
@@ -383,9 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except (AlphabetTooLarge, CapExceeded, SubsetCapExceeded,
             Truncated) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -393,7 +391,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConsistencyError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except CodeError as exc:
+    except (CodeError, OSError) as exc:  # a ParseError among them
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -90,7 +90,7 @@ class Source:
         for sym, weight in pairs:
             if not isinstance(sym, str) or not sym:
                 raise InvalidSource("symbols must be nonempty strings")
-            if _FORBIDDEN_IN_SYMBOLS & set(sym):
+            if not _FORBIDDEN_IN_SYMBOLS.isdisjoint(sym):
                 raise InvalidSource(
                     "symbol %r contains a reserved character" % sym)
             if sym in seen:
@@ -148,7 +148,7 @@ class PrefixCode:
                           else words):
             if sym in table:
                 raise DuplicateSymbol("duplicate symbol %r" % sym)
-            if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
+            if not isinstance(word, str) or not word or word.strip("01"):
                 raise PrefixViolation(
                     "codeword for %r must be a nonempty 0/1 string" % sym)
             table[sym] = word

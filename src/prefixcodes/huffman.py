@@ -216,6 +216,26 @@ def is_huffman(tree: CodeTree) -> bool:
         return False
 
 
+def _row_sort(tree: CodeTree) -> Tuple[List[Tuple[int, int]], tuple]:
+    """The sibling pairs (w_left, w_right), w_left >= w_right, and the
+    shape of the row-sorted tree (see `row_sorted`), in one pass."""
+    if not tree.is_complete:
+        raise NotComplete("a non-root node lacks a sibling")
+    weights, symbols, pairs, below = tree.weights, tree.symbols, [], []
+    for row in reversed(tree.rows()):
+        feed = iter(below)  # (weight, shape) of the row below, reordered
+        current = []
+        for nid in row:
+            if symbols[nid] is not None:
+                current.append((weights[nid], symbols[nid]))
+            else:
+                (w_left, left), (w_right, right) = next(feed), next(feed)
+                pairs.append((w_left, w_right))
+                current.append((w_left + w_right, (left, right)))
+        below = sorted(current, key=itemgetter(0), reverse=True)
+    return pairs, below[0][1]
+
+
 def row_sorted(tree: CodeTree) -> CodeTree:
     """Row-permute a tree so each row is in non-increasing probability.
 
@@ -225,21 +245,7 @@ def row_sorted(tree: CodeTree) -> CodeTree:
     tree is optimal; the paper proves the converse).  Raises NotComplete
     on an incomplete tree, which has a node with no sibling to pair.
     """
-    if not tree.is_complete:
-        raise NotComplete("a non-root node lacks a sibling")
-    below = []
-    for row in reversed(tree.rows()):
-        feed = iter(below)  # (weight, shape) of the row below, reordered
-        current = []
-        for nid in row:
-            if tree.symbols[nid] is not None:
-                current.append((tree.weights[nid], tree.symbols[nid]))
-            else:
-                (w_left, left), (w_right, right) = next(feed), next(feed)
-                current.append((w_left + w_right, (left, right)))
-        current.sort(key=lambda ws: ws[0], reverse=True)
-        below = current
-    return CodeTree(tree.source, below[0][1])
+    return CodeTree(tree.source, _row_sort(tree)[1])
 
 
 def huffmanize(tree: CodeTree) -> CodeTree:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import CodeTree
 from .errors import NotComplete, NotInternal, SubsetCapExceeded
@@ -57,6 +57,14 @@ def run_string(tree: CodeTree, state: int, bits: str) -> int:
     return state
 
 
+def _steps(tree: CodeTree, internal: Tuple[int, ...]) -> List[List[int]]:
+    """steps[bit][k]: where `decoder_step` takes internal node internal[k]
+    on `bit`, as a position in `internal`: a leaf resets to the root, 0."""
+    index = {nid: k for k, nid in enumerate(internal)}
+    return [[index.get(side[nid], 0) for nid in internal]
+            for side in (tree.lefts, tree.rights)]
+
+
 def shortest_sync_string(tree: CodeTree,
                          subset_cap: int = DEFAULT_SUBSET_CAP) -> SyncResult:
     """Shortest string sending every internal node to the root, if any.
@@ -78,9 +86,7 @@ def shortest_sync_string(tree: CodeTree,
         raise SubsetCapExceeded(
             "tree has %d internal nodes; the subset search supports %d"
             % (len(internal), MAX_INTERNAL_NODES))
-    index = {nid: k for k, nid in enumerate(internal)}
-    steps = [[index[decoder_step(tree, nid, bit)] for nid in internal]
-             for bit in (0, 1)]
+    steps = _steps(tree, internal)
     start = (1 << len(internal)) - 1
     parent: Dict[int, Tuple[int, str]] = {start: (start, "")}  # (from, bit)
     if start == 1:

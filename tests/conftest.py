@@ -16,6 +16,7 @@ from prefixcodes import (
     code_from_tree,
     code_lengths,
     decoder_step,
+    enumerate_complete_trees,
     huffman_build,
     node_swap,
     tree_from_code,
@@ -153,6 +154,15 @@ def fold_decoder_step(tree, state, bits):
     for ch in bits:
         state = decoder_step(tree, state, int(ch))
     return state
+
+
+def complete_trees_up_to_six():
+    """Every complete tree on 2-6 symbols, over tie-heavy weights."""
+    for weights in ((1, 1), (2, 1, 1), (1, 2, 1, 3), (3, 1, 2, 1, 3),
+                    (2, 1, 1, 2, 3, 1)):
+        source = Source.from_weights(
+            ("s%d" % i, w) for i, w in enumerate(weights))
+        yield from enumerate_complete_trees(source).members
 
 
 def catalan(n: int) -> int:

@@ -1,9 +1,11 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from prefixcodes import (
     MonotonicityWitness,
@@ -32,7 +34,10 @@ from prefixcodes.errors import (
     ConsistencyError,
     InvalidWitness,
 )
-from conftest import FIXTURES, load_code, load_lengths, load_tree
+from prefixcodes.huffman import _sibling_pairs
+from conftest import (FIXTURES, complete_trees_up_to_six, load_code,
+                      load_lengths, load_tree)
+from test_properties import any_trees
 
 
 class TestIsComplete:
@@ -73,6 +78,30 @@ class TestIsMonotone:
         bad = PrefixCode({"c": "0", "a": "10", "b": "110", "d": "111"})
         tree = tree_from_code(ex3, bad)
         assert not is_monotone(tree)
+
+
+def monotone_by_rows(tree):
+    """`is_monotone` from each row's least and greatest weight."""
+    rows, weights = tree.rows(), tree.weights
+    row_min = [min(weights[i] for i in row) for row in rows]
+    row_max = [max(weights[i] for i in row) for row in rows]
+    return all(row_max[d] <= min(row_min[:d]) for d in range(1, len(rows)))
+
+
+class TestOnePassMonotone:
+    """The one pass of `is_monotone` against each row's extremes."""
+
+    def test_every_complete_tree_up_to_six_symbols(self):
+        found = Counter()
+        for tree in complete_trees_up_to_six():
+            found[is_monotone(tree)] += 1
+            assert is_monotone(tree) == monotone_by_rows(tree), tree.label
+        assert found[True] > 100 and found[False] > 10000
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_trees())
+    def test_any_tree(self, tree):
+        assert is_monotone(tree) == monotone_by_rows(tree)
 
 
 class TestStrongMonotonicity:
@@ -269,9 +298,10 @@ class TestLengthEquivalenceCertificate:
         assert data["length_equivalent_to_huffman"] is False
 
     def test_cross_check_fires(self, ex4, monkeypatch, capsys):
-        # without the row sort, ex4_c (optimal, not Huffman) fails the leg
-        monkeypatch.setattr("prefixcodes.analysis.row_sorted",
-                            lambda tree: tree)
+        # without the row sort, ex4_c (optimal, not Huffman) fails the leg:
+        # the certificate's pairs are then the tree's own
+        monkeypatch.setattr("prefixcodes.analysis._row_sort", lambda tree: (
+            [(hi, lo) for hi, lo, _, _ in _sibling_pairs(tree)], tree.shape))
         with pytest.raises(ConsistencyError):
             classify(ex4, load_code("ex4_c.code"))
         assert main(["check", str(FIXTURES / "ex4.src"),

@@ -203,6 +203,15 @@ class TestHuffmanCommand:
         assert main(["huffman", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_source_not_utf8_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.src"
+        bad.write_bytes("a 1\n\u00e9 1\n".encode("latin-1"))
+        assert main(["huffman", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: %s: 'utf-8' codec can't "
+                                       "decode byte 0xe9" % bad), captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_cap_guard(self, capsys):
         assert main(["huffman", fx("ex4.src"), "--all", "--cap", "1"]) == 3
 
@@ -257,6 +266,15 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: %s\n" % message
         assert captured.out == ""
+
+    def test_code_not_utf8_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.code"
+        bad.write_bytes(b"a 00\nb 01\nc 10\nd 11 # \xff\n")
+        assert main(["check", fx("ex3.src"), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: %s: 'utf-8' codec can't "
+                                       "decode byte 0xff" % bad), captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestSwapsCommand:

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from prefixcodes import (
     Source,
@@ -20,10 +22,11 @@ from prefixcodes import (
 )
 from prefixcodes import huffman
 from prefixcodes.core import CodeTree, Oriented, interned, orbit, shape_label
-from prefixcodes.huffman import row_sorted
+from prefixcodes.huffman import _greedy_listing, _row_sort, row_sorted
 from prefixcodes.errors import CapExceeded, NotComplete, NotOptimal
 from prefixcodes.oracle import min_expected_length
-from conftest import load_code, load_tree
+from conftest import complete_trees_up_to_six, load_code, load_tree
+from test_properties import any_trees
 
 ALL_POLICIES = list(TiePolicy)
 
@@ -379,6 +382,34 @@ class TestHuffmanize:
         with pytest.raises(NotComplete,
                            match="^a non-root node lacks a sibling$"):
             row_sorted(tree)
+
+
+class TestRowSortPairs:
+    """`classify`'s certificate: the greedy listing on the row sort's
+    sibling pairs, with no tree built, against the row-sorted tree."""
+
+    def test_every_complete_tree_up_to_six_symbols(self):
+        found = Counter()
+        for tree in complete_trees_up_to_six():
+            pairs, shape = _row_sort(tree)
+            certified = _greedy_listing(pairs)
+            found[certified] += 1
+            assert certified == is_huffman(row_sorted(tree)), tree.label
+            assert CodeTree(tree.source, shape).label == row_sorted(
+                tree).label
+        assert found[True] > 500 and found[False] > 10000
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_trees())
+    def test_any_tree(self, tree):
+        if not tree.is_complete:
+            with pytest.raises(NotComplete):
+                _row_sort(tree)
+            return
+        sorted_tree = row_sorted(tree)
+        assert _greedy_listing(_row_sort(tree)[0]) == is_huffman(sorted_tree)
+        assert all(sorted_tree.depth_of(s) == tree.depth_of(s)
+                   for s in tree.source.symbols)
 
 
 class TestTreeChecksReadTheTreesSource:

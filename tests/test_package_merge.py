@@ -27,8 +27,8 @@ from prefixcodes import (
     strong_monotonicity_check,
 )
 from prefixcodes import analysis
-from prefixcodes.analysis import (MonotonicityWitness, _least_keys, _subset,
-                                  _tie_keys)
+from prefixcodes.analysis import (MonotonicityWitness, _least_keys,
+                                  _least_set)
 from prefixcodes.cli import main, parse_code_text
 from prefixcodes.core import _checked_lengths
 from prefixcodes.errors import ConsistencyError
@@ -190,7 +190,7 @@ def test_least_matches_brute_force():
 def test_least_keys_match_brute_force():
     # both signs and ties: the least weight at each exponent k from the
     # plain weights, and the first sorted index tuple that reaches it
-    # from the tie keys
+    # from the entries that carry their subsets
     rng = random.Random(5)
     for _ in range(300):
         depth = rng.randint(1, 4)
@@ -208,23 +208,23 @@ def test_least_keys_match_brute_force():
                         best[k] = (weight, subset)
         assert _least_keys(lengths, weights) == {
             k: weight for k, (weight, _) in best.items()}
-        found = {k: _subset(lengths, weights, k, key) for k, key
-                 in _least_keys(lengths, _tie_keys(weights)).items()}
-        assert found == {k: subset for k, (_, subset) in best.items()}
-        assert all(sum(weights[i] for i in subset) == best[k][0]
-                   for k, subset in found.items())
+        entries = {k: _least_set(lengths, weights, k) for k in best}
+        assert {k: (weight, tuple(sorted(chosen))) for k, (weight, _, chosen)
+                in entries.items()} == best
+        assert all(low == min(chosen) for _, low, chosen in entries.values())
 
 
 def test_keyed_pass_runs_only_on_a_violation(monkeypatch):
-    # the verdict reads the plain weights; the tie keys, n+1 bits wider,
-    # are built only to name a violation's witness sets, once per sign
+    # the verdict reads the plain weights; the passes whose entries carry
+    # their subsets run only to name a violation's witness sets, once per
+    # sign
     keyed = []
 
-    def recorded(weights):
+    def recorded(lengths, weights, k):
         keyed.append(tuple(weights))
-        return _tie_keys(weights)
+        return _least_set(lengths, weights, k)
 
-    monkeypatch.setattr(analysis, "_tie_keys", recorded)
+    monkeypatch.setattr(analysis, "_least_set", recorded)
     found = set()
     for source, code, _ in seeded_cases(seed=19, count=200):
         lengths = code_lengths(source, code)
@@ -243,14 +243,20 @@ def test_keyed_pass_runs_only_on_a_violation(monkeypatch):
         assert keyed == []
 
 
-def test_subset_checks_its_decoding():
-    lengths, weights = (1, 1, 2), (3, 1, 2)
-    key = _least_keys(lengths, _tie_keys(weights))[1]
-    assert _subset(lengths, weights, 1, key) == (1,)
-    with pytest.raises(ConsistencyError):
-        _subset(lengths, weights, 0, key)  # K = 1/2, not 1
-    with pytest.raises(ConsistencyError):
-        _subset(lengths, weights, 1, key - 4 * 16)  # weight 4 too small
+def test_subset_checks_its_decoding(monkeypatch):
+    # A = {c, d} has the least weight 2 at K = 1/2; a witness set off its
+    # exponent or off that weight is an internal fault
+    source = Source.from_weights(zip("abcde", (3, 2, 1, 1, 1)))
+    lengths = (2, 3, 2, 2, 3)
+    assert strong_monotonicity_check(source, lengths) == MonotonicityWitness(
+        A=("c", "d"), B=("a",), i=1, j=2)
+    for wrong in ((2, 1, (1,)),  # weight 2, but K = 1/8
+                  (4, 0, (2, 0))):  # K = 1/2, but weight 4
+        monkeypatch.setattr(analysis, "_least_set",
+                            lambda lengths, weights, k, wrong=wrong: wrong)
+        with pytest.raises(ConsistencyError, match="misses exponent 1 or "
+                           "weight 2$"):
+            strong_monotonicity_check(source, lengths)
 
 
 def test_agrees_with_walk_past_the_scan():

@@ -13,7 +13,9 @@ from prefixcodes import (
     tree_from_code,
 )
 from prefixcodes.errors import NotComplete, NotInternal, SubsetCapExceeded
-from conftest import FIXTURES, fold_decoder_step, load_tree
+from prefixcodes.sync import _steps
+from conftest import (FIXTURES, complete_trees_up_to_six, fold_decoder_step,
+                      load_tree)
 
 
 class TestDecoderStep:
@@ -66,6 +68,30 @@ class TestDecoderStep:
         tree = tree_from_code(src, {"a": "0", "b": "10"})
         with pytest.raises(NotComplete):
             decoder_step(tree, tree.root, 0)
+
+
+class TestStepTable:
+    """The search's transition table, read off the child tables, against
+    the validated `decoder_step`."""
+
+    @staticmethod
+    def assert_matches(tree):
+        internal = tree.internal_ids
+        steps = _steps(tree, internal)
+        for bit in (0, 1):
+            assert [internal[k] for k in steps[bit]] == [
+                decoder_step(tree, nid, bit) for nid in internal], tree.label
+
+    def test_every_complete_tree_up_to_six_symbols(self):
+        for tree in complete_trees_up_to_six():
+            self.assert_matches(tree)
+
+    def test_huffman_trees_of_seeded_sources(self):
+        rng = random.Random(23)
+        for n in (2, 7, 40, 300):
+            source = Source.from_weights(
+                ("s%d" % i, rng.randint(1, 9)) for i in range(n))
+            self.assert_matches(huffman_build(source))
 
 
 class TestRunStringErrors:
